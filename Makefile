@@ -7,8 +7,12 @@ all: check
 build:
 	$(GO) build ./...
 
+# go vet plus a formatting gate: any file gofmt would rewrite fails it.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...

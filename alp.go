@@ -226,8 +226,10 @@ func (c *Column) Scheme(g int) (Scheme, error) {
 // SumRange sums the values in [lo, hi], using per-vector min/max zone
 // maps to skip vectors that cannot contain qualifying values — a range
 // predicate pushed down into the compressed scan. It returns the sum,
-// the number of matching values, and the number of vectors actually
-// decompressed (the rest were skipped without touching their bytes).
+// the number of matching values, and the number of vectors examined
+// (the rest were skipped without touching their bytes). An examined
+// vector is decompressed only when the predicate covers it entirely;
+// otherwise the predicate is evaluated on its encoded integers.
 func (c *Column) SumRange(lo, hi float64) (sum float64, count, vectorsTouched int) {
 	return c.col.SumRange(lo, hi)
 }

@@ -95,6 +95,49 @@ func TestCorruptStreams(t *testing.T) {
 			t.Fatalf("truncated zone map: err = %v", err)
 		}
 	})
+
+	// Exception positions must strictly increase: the pushdown kernels
+	// walk them in order, so a swapped or repeated position would make
+	// a filtered aggregate disagree with Decode.
+	rng := rand.New(rand.NewSource(7))
+	reals := make([]float64, VectorSize)
+	for i := range reals {
+		reals[i] = rng.NormFloat64()
+	}
+	for _, order := range []struct {
+		name string
+		pos  []uint16
+	}{{"swapped", []uint16{9, 4}}, {"duplicated", []uint16{4, 4}}} {
+		for _, src := range []struct {
+			name   string
+			values []float64
+		}{{"ALP", values}, {"ALP_rd", reals}} {
+			t.Run("exception positions "+order.name+" "+src.name, func(t *testing.T) {
+				col, err := format.Unmarshal(Encode(src.values))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rg := &col.RowGroups[0]
+				if rg.Scheme == format.SchemeRD {
+					v := &rg.RDVectors[0]
+					v.ExcPos, v.ExcLeft = order.pos, []uint16{1, 2}
+				} else {
+					v := &rg.Vectors[0]
+					v.ExcPos, v.ExcVals = order.pos, []float64{1e300, 2e300}
+				}
+				if got := rg.Scheme == format.SchemeRD; got != (src.name == "ALP_rd") {
+					t.Fatalf("%s data encoded with scheme %d", src.name, rg.Scheme)
+				}
+				mut := col.Marshal()
+				if _, err := Decode(mut); err == nil || !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Decode: err = %v", err)
+				}
+				if _, err := Open(mut); err == nil || !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Open: err = %v", err)
+				}
+			})
+		}
+	}
 }
 
 // TestCorruptStreamsFuzz flips random bytes and asserts the public API

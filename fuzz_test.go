@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/goalp/alp/internal/engine"
+	"github.com/goalp/alp/internal/format"
 )
 
 // fuzzFloats64 reinterprets raw bytes as little-endian float64 values
@@ -108,9 +109,11 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 // predicate pushdown: the first 16 bytes pick a range predicate (two
 // little-endian float64 bounds, swapped into order when comparable),
 // the rest become the column. The pushdown scan, the forced
-// decode-then-filter scan, and a plain-slice fold must agree
-// bit-for-bit on Sum/Count/Min/Max for every input — including NaN or
-// infinite bounds and columns full of exceptions.
+// decode-then-filter scan, the view over a shared compressed column,
+// the merged per-row-group partials and the public column path must
+// agree bit-for-bit on Sum/Count/Min/Max with a plain-slice fold for
+// every input — including NaN or infinite bounds and columns full of
+// exceptions.
 func FuzzPushdownAgainstNaive(f *testing.F) {
 	f.Add(le64(0, 100, 1.25, 50.5, 99.99, -3.25, 100.01))          // band over decimals
 	f.Add(le64(math.NaN(), 1, 0.5, 2.5))                           // NaN bound matches nothing
@@ -127,51 +130,61 @@ func FuzzPushdownAgainstNaive(f *testing.F) {
 			lo, hi = hi, lo
 		}
 		values := fuzzFloats64(raw[16:])
-
-		// Plain-slice oracle, folded in index order.
-		var sum float64
-		var count int64
-		min, max := math.Inf(1), math.Inf(-1)
-		for _, v := range values {
-			if v >= lo && v <= hi {
-				sum += v
-				count++
-				if v < min {
-					min = v
-				}
-				if v > max {
-					max = v
-				}
-			}
-		}
-
-		r := engine.BuildALP(values)
 		p := engine.Between(lo, hi)
-		push, _ := r.FilterAgg(1, p)
-		naive, _ := r.FilterAggNaive(1, p)
-		for _, got := range []struct {
-			name string
-			a    engine.Agg
-		}{{"pushdown", push}, {"naive", naive}} {
-			if math.Float64bits(got.a.Sum) != math.Float64bits(sum) || got.a.Count != count ||
-				math.Float64bits(got.a.Min) != math.Float64bits(min) ||
-				math.Float64bits(got.a.Max) != math.Float64bits(max) {
-				t.Fatalf("%s FilterAgg([%v,%v]) over %d values = %+v, want sum %v count %d min %v max %v",
-					got.name, lo, hi, len(values), got.a, sum, count, min, max)
+
+		// Plain-slice oracles, folded in index order: one running fold
+		// over the column, and one fold per row-group merged in
+		// row-group order (the partials contract).
+		oracle := func(vals []float64) engine.Agg {
+			a := engine.Agg{Min: math.Inf(1), Max: math.Inf(-1)}
+			for _, v := range vals {
+				if p.Match(v) {
+					a.Sum += v
+					a.Count++
+					if v < a.Min {
+						a.Min = v
+					}
+					if v > a.Max {
+						a.Max = v
+					}
+				}
+			}
+			return a
+		}
+		want := oracle(values)
+		var groups []engine.Agg
+		for start := 0; start < len(values); start += RowGroupSize {
+			groups = append(groups, oracle(values[start:min(start+RowGroupSize, len(values))]))
+		}
+		wantMerged := engine.MergeAggs(groups)
+
+		check := func(name string, got, want engine.Agg) {
+			t.Helper()
+			if math.Float64bits(got.Sum) != math.Float64bits(want.Sum) || got.Count != want.Count ||
+				math.Float64bits(got.Min) != math.Float64bits(want.Min) ||
+				math.Float64bits(got.Max) != math.Float64bits(want.Max) {
+				t.Fatalf("%s([%v,%v]) over %d values = %+v, want %+v", name, lo, hi, len(values), got, want)
 			}
 		}
-		if c := r.FilterCount(1, p); c != count {
-			t.Fatalf("FilterCount([%v,%v]) = %d, want %d", lo, hi, c, count)
+		r := engine.BuildALP(values)
+		view := engine.BuildALPFromColumn("fuzz", format.EncodeColumn(values))
+		push, _ := r.FilterAgg(1, p)
+		check("FilterAgg", push, want)
+		naive, _ := r.FilterAggNaive(1, p)
+		check("FilterAggNaive", naive, want)
+		viewAgg, _ := view.FilterAgg(1, p)
+		check("view FilterAgg", viewAgg, want)
+		for _, rel := range []*engine.Relation{r, view} {
+			parts, _ := rel.FilterAggPartials(1, p, nil)
+			check(rel.Name+" MergeAggs(FilterAggPartials)", engine.MergeAggs(parts), wantMerged)
+		}
+		if c := r.FilterCount(1, p); c != want.Count {
+			t.Fatalf("FilterCount([%v,%v]) = %d, want %d", lo, hi, c, want.Count)
 		}
 
 		// Public column path (exercises the format layer's scheme switch).
 		res := Compress(values).AggRange(lo, hi)
-		if math.Float64bits(res.Sum) != math.Float64bits(sum) || int64(res.Count) != count ||
-			math.Float64bits(res.Min) != math.Float64bits(min) ||
-			math.Float64bits(res.Max) != math.Float64bits(max) {
-			t.Fatalf("Column.AggRange([%v,%v]) = %+v, want sum %v count %d min %v max %v",
-				lo, hi, res, sum, count, min, max)
-		}
+		check("Column.AggRange", engine.Agg{Sum: res.Sum, Count: int64(res.Count), Min: res.Min, Max: res.Max}, want)
 	})
 }
 

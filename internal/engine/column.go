@@ -13,78 +13,23 @@ package engine
 
 import (
 	"github.com/goalp/alp/internal/format"
-	"github.com/goalp/alp/internal/obs"
 	"github.com/goalp/alp/internal/vector"
 )
 
 // alpViewPartition is one row-group of a shared compressed column. The
 // column is immutable; concurrent views decode through caller-owned
-// buffers, so any number of scan workers may touch sibling views.
+// buffers, so any number of scan workers may touch sibling views. Its
+// scan and pushdown operators come from vecRange (pushdown.go).
 type alpViewPartition struct {
-	col      *format.Column
-	firstVec int // global index of the row-group's first vector
-	numVecs  int
-	n        int // values in the row-group
+	vecRange
+	n int // values in the row-group
 }
 
 func (p *alpViewPartition) Len() int { return p.n }
 
 func (p *alpViewPartition) SizeBytes() int {
-	g := p.firstVec / vector.RowGroupVectors
+	g := p.first / vector.RowGroupVectors
 	return p.col.RowGroups[g].SizeBits() / 8
-}
-
-func (p *alpViewPartition) Scan(buf []float64, emit func([]float64)) {
-	scratch := make([]int64, vector.Size)
-	for i := p.firstVec; i < p.firstVec+p.numVecs; i++ {
-		n := p.col.DecodeVector(i, buf, scratch)
-		emit(buf[:n])
-	}
-}
-
-// FilterAgg implements PushdownScanner over the view's vector range:
-// zone maps skip, surviving decimal-scheme vectors run the fused
-// unpack+compare kernel, qualifying rows fold in position order.
-func (p *alpViewPartition) FilterAgg(pred Predicate, bufs *filterBufs, a *Agg) int {
-	o := obs.Active()
-	touched := 0
-	skipped := 0
-	var batch obs.ScanBatch
-	for i := p.firstVec; i < p.firstVec+p.numVecs; i++ {
-		if p.col.Zones != nil && !p.col.Zones.MayContain(i, pred.Lo, pred.Hi) {
-			skipped++
-			continue
-		}
-		n, pd := p.col.FilterGatherVector(i, pred.Lo, pred.Hi, bufs.sel[:], bufs.out, bufs.scratch)
-		batch.Vector(n, pd)
-		touched++
-		a.fold(bufs.out[:n])
-	}
-	o.VectorsSkipped(skipped)
-	o.FlushScanBatch(&batch)
-	return touched
-}
-
-// FilterCount implements PushdownScanner without gathering.
-func (p *alpViewPartition) FilterCount(pred Predicate, bufs *filterBufs) (int64, int) {
-	o := obs.Active()
-	var count int64
-	touched := 0
-	skipped := 0
-	var batch obs.ScanBatch
-	for i := p.firstVec; i < p.firstVec+p.numVecs; i++ {
-		if p.col.Zones != nil && !p.col.Zones.MayContain(i, pred.Lo, pred.Hi) {
-			skipped++
-			continue
-		}
-		n, pd := p.col.FilterVector(i, pred.Lo, pred.Hi, bufs.sel[:], bufs.out, bufs.scratch)
-		batch.Vector(n, pd)
-		touched++
-		count += int64(n)
-	}
-	o.VectorsSkipped(skipped)
-	o.FlushScanBatch(&batch)
-	return count, touched
 }
 
 // BuildALPFromColumn wraps an already-compressed column as a Relation
@@ -95,10 +40,9 @@ func BuildALPFromColumn(name string, col *format.Column) *Relation {
 	r := &Relation{Name: name, N: col.N}
 	for g := range col.RowGroups {
 		rg := &col.RowGroups[g]
+		first := g * vector.RowGroupVectors
 		r.Parts = append(r.Parts, &alpViewPartition{
-			col:      col,
-			firstVec: g * vector.RowGroupVectors,
-			numVecs:  vector.VectorsIn(rg.N),
+			vecRange: vecRange{col: col, first: first, end: first + vector.VectorsIn(rg.N)},
 			n:        rg.N,
 		})
 	}

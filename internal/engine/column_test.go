@@ -33,6 +33,9 @@ func TestBuildALPFromColumnMatchesBuildALP(t *testing.T) {
 		if _, ok := p.(PushdownScanner); !ok {
 			t.Fatal("view partition does not implement PushdownScanner")
 		}
+		if _, ok := p.(rowGatherer); !ok {
+			t.Fatal("view partition does not implement rowGatherer")
+		}
 	}
 	if viewLen != len(values) {
 		t.Fatalf("partition lengths sum to %d, want %d", viewLen, len(values))
@@ -61,6 +64,15 @@ func TestBuildALPFromColumnMatchesBuildALP(t *testing.T) {
 		}
 		if c1, c2 := fromRaw.FilterCount(4, p), fromCol.FilterCount(4, p); c1 != c2 {
 			t.Errorf("pred %+v: FilterCount %d vs %d", p, c2, c1)
+		}
+		r1, r2 := fromRaw.FilterRows(p), fromCol.FilterRows(p)
+		if len(r1) != len(r2) {
+			t.Fatalf("pred %+v: FilterRows %d vs %d rows", p, len(r2), len(r1))
+		}
+		for i := range r1 {
+			if math.Float64bits(r1[i]) != math.Float64bits(r2[i]) {
+				t.Fatalf("pred %+v: FilterRows row %d = %v, want %v", p, i, r2[i], r1[i])
+			}
 		}
 	}
 

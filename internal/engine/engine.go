@@ -128,27 +128,22 @@ func partitionRanges(n int) [][2]int {
 
 // ---- ALP ----
 
+// alpPartition is a column of its own, one row-group long; its scan
+// and pushdown operators come from vecRange (pushdown.go).
 type alpPartition struct {
-	col *format.Column
+	vecRange
 }
 
 func (p *alpPartition) Len() int { return p.col.N }
 
 func (p *alpPartition) SizeBytes() int { return p.col.SizeBits() / 8 }
 
-func (p *alpPartition) Scan(buf []float64, emit func([]float64)) {
-	scratch := make([]int64, vector.Size)
-	for i := 0; i < p.col.NumVectors(); i++ {
-		n := p.col.DecodeVector(i, buf, scratch)
-		emit(buf[:n])
-	}
-}
-
 // BuildALP compresses values with ALP into a partitioned relation.
 func BuildALP(values []float64) *Relation {
 	r := &Relation{Name: "ALP", N: len(values)}
 	for _, rg := range partitionRanges(len(values)) {
-		r.Parts = append(r.Parts, &alpPartition{col: format.EncodeColumn(values[rg[0]:rg[1]])})
+		col := format.EncodeColumn(values[rg[0]:rg[1]])
+		r.Parts = append(r.Parts, &alpPartition{vecRange{col: col, end: col.NumVectors()}})
 	}
 	return r
 }
@@ -239,7 +234,7 @@ func BuildStream(name string, values []float64,
 // cannot skip fall back to a full scan plus filter.
 type RangeScanner interface {
 	// SumRange returns the sum and count of values in [lo, hi], plus
-	// the number of vectors actually decompressed.
+	// the number of vectors examined (not skipped).
 	SumRange(lo, hi float64) (sum float64, count, touched int)
 }
 
@@ -247,7 +242,7 @@ type RangeScanner interface {
 // with the given parallelism. ALP partitions push the predicate into
 // the scan via their zone maps and skip non-qualifying vectors; stream
 // partitions must decompress everything and filter. The returned
-// touched count (vectors decompressed) quantifies the push-down win.
+// touched count (vectors examined) quantifies the push-down win.
 func (r *Relation) SumRange(threads int, lo, hi float64) (sum float64, count, touched int) {
 	if threads < 1 {
 		threads = 1

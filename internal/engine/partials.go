@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/goalp/alp/internal/alpenc"
 	"github.com/goalp/alp/internal/obs"
 )
 
@@ -60,7 +61,7 @@ func (r *Relation) FilterAggPartials(threads int, p Predicate, idxs []int) ([]Ag
 					return
 				}
 				o.MorselClaim()
-				out[k] = emptyAgg()
+				out[k] = alpenc.EmptyAgg()
 				part := r.Parts[idxs[k]]
 				if ps, ok := part.(PushdownScanner); ok {
 					touched[t] += ps.FilterAgg(p, bufs, &out[k])
@@ -120,7 +121,7 @@ func (r *Relation) FilterCountPartials(threads int, p Predicate, idxs []int) []i
 					out[k] = c
 					continue
 				}
-				a := emptyAgg()
+				a := alpenc.EmptyAgg()
 				filterAggFallback(part, p, bufs, &a)
 				out[k] = a.Count
 			}
@@ -135,9 +136,9 @@ func (r *Relation) FilterCountPartials(threads int, p Predicate, idxs []int) []i
 // present partials in global row-group order; any reordering changes
 // the float Sum by rounding.
 func MergeAggs(parts []Agg) Agg {
-	total := emptyAgg()
+	total := alpenc.EmptyAgg()
 	for _, a := range parts {
-		total.merge(a)
+		total.Merge(a)
 	}
 	return total
 }

@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/goalp/alp/internal/alpenc"
+	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/obs"
 	"github.com/goalp/alp/internal/vector"
 )
@@ -64,42 +66,9 @@ func (p Predicate) Match(v float64) bool { return v >= p.Lo && v <= p.Hi }
 
 // Agg carries the aggregates of a filtered scan: SELECT SUM(col),
 // COUNT(*), MIN(col), MAX(col) WHERE p. Min and Max are +Inf/-Inf when
-// Count is zero.
-type Agg struct {
-	Sum   float64
-	Count int64
-	Min   float64
-	Max   float64
-}
-
-func emptyAgg() Agg { return Agg{Min: math.Inf(1), Max: math.Inf(-1)} }
-
-// fold accumulates qualifying values (already filtered) into the
-// aggregate, in slice order.
-func (a *Agg) fold(vals []float64) {
-	for _, v := range vals {
-		a.Sum += v
-		if v < a.Min {
-			a.Min = v
-		}
-		if v > a.Max {
-			a.Max = v
-		}
-	}
-	a.Count += int64(len(vals))
-}
-
-// merge combines a worker-local aggregate into a.
-func (a *Agg) merge(b Agg) {
-	a.Sum += b.Sum
-	a.Count += b.Count
-	if b.Min < a.Min {
-		a.Min = b.Min
-	}
-	if b.Max > a.Max {
-		a.Max = b.Max
-	}
-}
+// Count is zero. It is the codec's own accumulator, so the format
+// layer folds into it directly.
+type Agg = alpenc.Agg
 
 // filterBufs is the per-worker scratch space of a filtered scan: one
 // selection bitmap, one float vector (gather target / decode buffer)
@@ -142,21 +111,7 @@ func filterAggFallback(part Partition, p Predicate, bufs *filterBufs, a *Agg) in
 	var batch obs.ScanBatch
 	part.Scan(bufs.out, func(vals []float64) {
 		touched++
-		selected := 0
-		for _, v := range vals {
-			if p.Match(v) {
-				a.Sum += v
-				if v < a.Min {
-					a.Min = v
-				}
-				if v > a.Max {
-					a.Max = v
-				}
-				selected++
-			}
-		}
-		a.Count += int64(selected)
-		batch.Vector(selected, false)
+		batch.Vector(a.FoldMatching(vals, p.Lo, p.Hi), false)
 	})
 	o.FlushScanBatch(&batch)
 	return touched
@@ -219,7 +174,7 @@ func (r *Relation) filterAgg(threads int, p Predicate, forceNaive bool) (Agg, in
 	results := make([]Agg, threads)
 	touched := make([]int, threads)
 	for t := range results {
-		results[t] = emptyAgg()
+		results[t] = alpenc.EmptyAgg()
 	}
 	var wg sync.WaitGroup
 	for t := 0; t < threads; t++ {
@@ -242,10 +197,10 @@ func (r *Relation) filterAgg(threads int, p Predicate, forceNaive bool) (Agg, in
 		}(t)
 	}
 	wg.Wait()
-	total := emptyAgg()
+	total := alpenc.EmptyAgg()
 	n := 0
 	for t := range results {
-		total.merge(results[t])
+		total.Merge(results[t])
 		n += touched[t]
 	}
 	return total, n
@@ -279,7 +234,7 @@ func (r *Relation) FilterCount(threads int, p Predicate) int64 {
 					counts[t] += c
 					continue
 				}
-				a := emptyAgg()
+				a := alpenc.EmptyAgg()
 				filterAggFallback(r.Parts[i], p, bufs, &a)
 				counts[t] += a.Count
 			}
@@ -327,45 +282,44 @@ func (r *Relation) FilterRows(p Predicate) []float64 {
 
 // ---- ALP partition pushdown ----
 
-// FilterAgg implements PushdownScanner: zone maps skip vectors that
-// cannot qualify, the rest run the encoded-domain kernel (decimal
-// scheme) or decode-then-filter (ALP_rd row-groups), and only
-// qualifying rows are materialized and folded.
-func (p *alpPartition) FilterAgg(pred Predicate, bufs *filterBufs, a *Agg) int {
-	o := obs.Active()
-	touched := 0
-	skipped := 0
-	var batch obs.ScanBatch
-	col := p.col
-	for i := 0; i < col.NumVectors(); i++ {
-		if col.Zones != nil && !col.Zones.MayContain(i, pred.Lo, pred.Hi) {
-			skipped++
-			continue
-		}
-		n, pd := col.FilterGatherVector(i, pred.Lo, pred.Hi, bufs.sel[:], bufs.out, bufs.scratch)
-		batch.Vector(n, pd)
-		touched++
-		a.fold(bufs.out[:n])
+// vecRange is the vectors [first, end) of a compressed column: what
+// both ALP partition kinds scan, filter and aggregate. A BuildALP
+// partition covers the whole of its own column; a BuildALPFromColumn
+// view covers one row-group of a shared one.
+type vecRange struct {
+	col        *format.Column
+	first, end int
+}
+
+// Scan implements Partition.Scan over the range.
+func (r vecRange) Scan(buf []float64, emit func([]float64)) {
+	scratch := make([]int64, vector.Size)
+	for i := r.first; i < r.end; i++ {
+		n := r.col.DecodeVector(i, buf, scratch)
+		emit(buf[:n])
 	}
-	o.VectorsSkipped(skipped)
-	o.FlushScanBatch(&batch)
-	return touched
+}
+
+// FilterAgg implements PushdownScanner: zone maps skip vectors that
+// cannot qualify, and the rest fold their qualifying rows into a
+// through the format layer's per-scheme fold (format.Column.AggVectors).
+func (r vecRange) FilterAgg(pred Predicate, bufs *filterBufs, a *Agg) int {
+	return r.col.AggVectors(r.first, r.end, pred.Lo, pred.Hi, a, bufs.out, bufs.scratch)
 }
 
 // FilterRows implements rowGatherer: the selection bitmap from the
 // encoded-domain kernel drives the gather, so non-qualifying rows are
 // never materialized as floats.
-func (p *alpPartition) FilterRows(pred Predicate, bufs *filterBufs, out []float64) []float64 {
+func (r vecRange) FilterRows(pred Predicate, bufs *filterBufs, out []float64) []float64 {
 	o := obs.Active()
 	skipped := 0
 	var batch obs.ScanBatch
-	col := p.col
-	for i := 0; i < col.NumVectors(); i++ {
-		if col.Zones != nil && !col.Zones.MayContain(i, pred.Lo, pred.Hi) {
+	for i := r.first; i < r.end; i++ {
+		if r.col.Zones != nil && !r.col.Zones.MayContain(i, pred.Lo, pred.Hi) {
 			skipped++
 			continue
 		}
-		n, pd := col.FilterGatherVector(i, pred.Lo, pred.Hi, bufs.sel[:], bufs.out, bufs.scratch)
+		n, pd := r.col.FilterGatherVector(i, pred.Lo, pred.Hi, bufs.sel[:], bufs.out, bufs.scratch)
 		batch.Vector(n, pd)
 		out = append(out, bufs.out[:n]...)
 	}
@@ -377,19 +331,18 @@ func (p *alpPartition) FilterRows(pred Predicate, bufs *filterBufs, out []float6
 // FilterCount implements PushdownScanner without gathering: on the
 // decimal scheme the count is read off the selection bitmap, so a
 // vector with no qualifying rows converts zero integers to floats.
-func (p *alpPartition) FilterCount(pred Predicate, bufs *filterBufs) (int64, int) {
+func (r vecRange) FilterCount(pred Predicate, bufs *filterBufs) (int64, int) {
 	o := obs.Active()
 	var count int64
 	touched := 0
 	skipped := 0
 	var batch obs.ScanBatch
-	col := p.col
-	for i := 0; i < col.NumVectors(); i++ {
-		if col.Zones != nil && !col.Zones.MayContain(i, pred.Lo, pred.Hi) {
+	for i := r.first; i < r.end; i++ {
+		if r.col.Zones != nil && !r.col.Zones.MayContain(i, pred.Lo, pred.Hi) {
 			skipped++
 			continue
 		}
-		n, pd := col.FilterVector(i, pred.Lo, pred.Hi, bufs.sel[:], bufs.out, bufs.scratch)
+		n, pd := r.col.FilterVector(i, pred.Lo, pred.Hi, bufs.sel[:], bufs.out, bufs.scratch)
 		batch.Vector(n, pd)
 		touched++
 		count += int64(n)

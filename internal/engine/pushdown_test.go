@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/goalp/alp/internal/alpenc"
 	"github.com/goalp/alp/internal/gorilla"
 	"github.com/goalp/alp/internal/obs"
 	"github.com/goalp/alp/internal/vector"
@@ -12,10 +13,17 @@ import (
 // aggOracle filters and folds a plain slice in index order — the
 // ground truth every engine path must reproduce.
 func aggOracle(values []float64, p Predicate) Agg {
-	a := emptyAgg()
+	a := alpenc.EmptyAgg()
 	for _, v := range values {
 		if p.Match(v) {
-			a.fold([]float64{v})
+			a.Sum += v
+			a.Count++
+			if v < a.Min {
+				a.Min = v
+			}
+			if v > a.Max {
+				a.Max = v
+			}
 		}
 	}
 	return a
@@ -185,7 +193,7 @@ func TestFilterCountAllocsNoFloats(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("FilterCount allocates %.1f objects per scan, want 0", allocs)
 	}
-	agg := emptyAgg()
+	agg := alpenc.EmptyAgg()
 	aggAllocs := testing.AllocsPerRun(50, func() {
 		part.FilterAgg(p, bufs, &agg)
 	})

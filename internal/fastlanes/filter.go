@@ -86,17 +86,15 @@ func (f *FFOR) filterRange(dlo, dhi int64, sel []uint64, scratch []int64) int {
 
 	count := 0
 	for i := 0; i < n; i += 64 {
-		end := i + 64
-		if end > n {
-			end = n
-		}
 		var word uint64
-		for j := i; j < end; j++ {
+		for j, p := range u[i:min(i+64, n)] {
 			var b uint64
-			if u[j]-ulo <= span {
+			if p-ulo <= span {
 				b = 1
 			}
-			word |= b << uint(j-i)
+			// j < 64; the mask lets the compiler drop its shift-overflow
+			// check, which made this loop about 20% slower.
+			word |= b << (uint(j) & 63)
 		}
 		sel[i>>6] = word
 		count += bits.OnesCount64(word)

@@ -8,13 +8,14 @@
 // the float-domain predicate. ALP_rd vectors have no order-preserving
 // integer domain (the front bits are a dictionary code), so they fall
 // back to decode-then-filter. Both paths produce the same selection
-// bitmap a plain decode-and-compare scan would.
+// bitmap a plain decode-and-compare scan would. Filtered aggregates
+// fold the qualifying rows in registers (AggVectors).
 package format
 
 import (
-	"math"
 	"time"
 
+	"github.com/goalp/alp/internal/alpenc"
 	"github.com/goalp/alp/internal/fastlanes"
 	"github.com/goalp/alp/internal/obs"
 	"github.com/goalp/alp/internal/vector"
@@ -172,47 +173,54 @@ type FilterAggResult struct {
 	Touched int
 }
 
-// AggRange computes SUM/COUNT/MIN/MAX over the values in [lo, hi],
-// combining zone-map vector skipping with encoded-domain predicate
-// pushdown: vectors the zone map cannot rule out are filtered by the
-// fused unpack+compare kernel (decimal scheme) or decode-then-filter
-// (ALP_rd), and only qualifying rows are materialized and folded. The
-// fold visits rows in position order, so Sum is bit-identical to a
-// naive decode-then-filter aggregate.
-func (c *Column) AggRange(lo, hi float64) FilterAggResult {
+// AggVectors folds the rows in [lo, hi] of vectors [first, end) into a,
+// in position order, skipping the vectors the zone map rules out. It
+// returns the number of vectors whose payload was examined and records
+// the skip and pushdown counters once for the whole range. buf and
+// scratch must each hold vector.Size elements.
+//
+// Each scheme has one fold. Decimal-scheme vectors run the
+// encoded-domain filter and gather (FilterGatherVector, which
+// bulk-decodes a vector the zone map shows to match entirely), and the
+// gathered rows are folded once in registers (alpenc.Agg.Fold). ALP_rd
+// vectors decode, then compare and fold in one loop, with no bitmap and
+// no compaction (alpenc.Agg.FoldMatching).
+func (c *Column) AggVectors(first, end int, lo, hi float64, a *alpenc.Agg, buf []float64, scratch []int64) (touched int) {
 	o := obs.Active()
-	o.RangeScan()
-	res := FilterAggResult{Min: math.Inf(1), Max: math.Inf(-1)}
-	var sel [SelWords]uint64
-	scratch := make([]int64, vector.Size)
-	out := make([]float64, vector.Size)
 	skipped := 0
 	var batch obs.ScanBatch
-	for i := 0; i < c.NumVectors(); i++ {
+	var sel [SelWords]uint64
+	for i := first; i < end; i++ {
 		if c.Zones != nil && !c.Zones.MayContain(i, lo, hi) {
 			skipped++
 			continue
 		}
-		n, pd := c.FilterGatherVector(i, lo, hi, sel[:], out, scratch)
+		touched++
+		rg := &c.RowGroups[i/vector.RowGroupVectors]
+		if rg.Scheme == SchemeRD {
+			v := &rg.RDVectors[i%vector.RowGroupVectors]
+			rg.RD.DecodeVector(v, buf[:v.N])
+			batch.Vector(a.FoldMatching(buf[:v.N], lo, hi), false)
+			continue
+		}
+		n, pd := c.FilterGatherVector(i, lo, hi, sel[:], buf, scratch)
+		a.Fold(buf[:n])
 		batch.Vector(n, pd)
-		res.Touched++
-		foldAgg(&res, out[:n])
 	}
 	o.VectorsSkipped(skipped)
 	o.FlushScanBatch(&batch)
-	return res
+	return touched
 }
 
-// foldAgg accumulates the gathered qualifying rows into res.
-func foldAgg(res *FilterAggResult, vals []float64) {
-	for _, v := range vals {
-		res.Sum += v
-		if v < res.Min {
-			res.Min = v
-		}
-		if v > res.Max {
-			res.Max = v
-		}
-	}
-	res.Count += len(vals)
+// AggRange computes SUM/COUNT/MIN/MAX over the values in [lo, hi],
+// combining zone-map vector skipping with encoded-domain predicate
+// pushdown (AggVectors over the whole column). The fold visits rows in
+// position order from zero, so Sum is bit-identical to a naive
+// decode-then-filter aggregate.
+func (c *Column) AggRange(lo, hi float64) FilterAggResult {
+	obs.Active().RangeScan()
+	a := alpenc.EmptyAgg()
+	touched := c.AggVectors(0, c.NumVectors(), lo, hi, &a,
+		make([]float64, vector.Size), make([]int64, vector.Size))
+	return FilterAggResult{Sum: a.Sum, Count: int(a.Count), Min: a.Min, Max: a.Max, Touched: touched}
 }

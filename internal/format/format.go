@@ -283,30 +283,11 @@ func (c *Column) UsedRD() bool {
 // SumRange sums the values in [lo, hi], skipping every vector whose
 // zone map proves it holds no qualifying values — the predicate
 // push-down scan the paper contrasts with block-based compression. It
-// returns the sum, the match count, and how many vectors were
-// decompressed.
+// returns the sum, the match count, and how many vectors were examined;
+// it is AggRange without MIN and MAX.
 func (c *Column) SumRange(lo, hi float64) (sum float64, count, touched int) {
-	o := obs.Active()
-	o.RangeScan()
-	skipped := 0
-	scratch := make([]int64, vector.Size)
-	buf := make([]float64, vector.Size)
-	for i := 0; i < c.NumVectors(); i++ {
-		if c.Zones != nil && !c.Zones.MayContain(i, lo, hi) {
-			skipped++
-			continue
-		}
-		n := c.DecodeVector(i, buf, scratch)
-		touched++
-		for _, v := range buf[:n] {
-			if v >= lo && v <= hi {
-				sum += v
-				count++
-			}
-		}
-	}
-	o.VectorsSkipped(skipped)
-	return sum, count, touched
+	res := c.AggRange(lo, hi)
+	return res.Sum, res.Count, res.Touched
 }
 
 // Sum decompresses nothing it does not need: it folds the whole column

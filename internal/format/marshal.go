@@ -323,6 +323,10 @@ func unmarshalRowGroup(r *reader) (RowGroup, error) {
 	return rg, r.err
 }
 
+// unmarshalALPVector reads one decimal-scheme vector. Exception
+// positions must strictly increase, as the encoder writes them: the
+// pushdown filter and gather walk them in order, and an unsorted list
+// would make them answer differently from a plain decode.
 func unmarshalALPVector(r *reader) (alpenc.Vector, error) {
 	var v alpenc.Vector
 	v.E = r.u8()
@@ -353,6 +357,9 @@ func unmarshalALPVector(r *reader) (alpenc.Vector, error) {
 		if r.err == nil && int(p) >= v.N {
 			return v, corrupt("exception position %d", p)
 		}
+		if r.err == nil && i > 0 && p <= v.ExcPos[i-1] {
+			return v, corrupt("exception position %d after %d", p, v.ExcPos[i-1])
+		}
 		v.ExcPos = append(v.ExcPos, p)
 	}
 	for i := 0; i < ne; i++ {
@@ -361,6 +368,8 @@ func unmarshalALPVector(r *reader) (alpenc.Vector, error) {
 	return v, r.err
 }
 
+// unmarshalRDVector reads one ALP_rd vector; like unmarshalALPVector it
+// requires strictly increasing exception positions.
 func unmarshalRDVector(r *reader, p uint8, cw uint) (alprd.Vector, error) {
 	var v alprd.Vector
 	v.N = int(r.u16())
@@ -380,6 +389,9 @@ func unmarshalRDVector(r *reader, p uint8, cw uint) (alprd.Vector, error) {
 		pos := r.u16()
 		if r.err == nil && int(pos) >= v.N {
 			return v, corrupt("RD exception position %d", pos)
+		}
+		if r.err == nil && i > 0 && pos <= v.ExcPos[i-1] {
+			return v, corrupt("RD exception position %d after %d", pos, v.ExcPos[i-1])
 		}
 		v.ExcPos = append(v.ExcPos, pos)
 	}

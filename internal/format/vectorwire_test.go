@@ -1,6 +1,7 @@
 package format
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -102,5 +103,28 @@ func TestVectorEnvelopeErrors(t *testing.T) {
 	// Destination too small.
 	if _, err := UnmarshalVector(env, make([]float64, 1), nil); err == nil {
 		t.Error("short destination accepted")
+	}
+
+	// Exception positions that do not strictly increase are rejected
+	// in both schemes' envelopes.
+	for name, values := range wireDatasets() {
+		for _, pos := range [][]uint16{{9, 4}, {4, 4}} {
+			col := EncodeColumn(values)
+			rg := &col.RowGroups[0]
+			if rg.Scheme == SchemeRD {
+				v := &rg.RDVectors[0]
+				v.ExcPos, v.ExcLeft = pos, []uint16{1, 2}
+			} else {
+				v := &rg.Vectors[0]
+				v.ExcPos, v.ExcVals = pos, []float64{1e300, 2e300}
+			}
+			env, err := col.MarshalVector(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := UnmarshalVector(env, dst, nil); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: exception positions %v: err = %v, want ErrCorrupt", name, pos, err)
+			}
+		}
 	}
 }

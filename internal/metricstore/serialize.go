@@ -208,8 +208,16 @@ func openColumn(r *reader, wantN int) (*alp.Column, error) {
 
 // ---- little-endian plumbing ----
 
-func writeU16(b *bytes.Buffer, v uint16) { var t [2]byte; binary.LittleEndian.PutUint16(t[:], v); b.Write(t[:]) }
-func writeU32(b *bytes.Buffer, v uint32) { var t [4]byte; binary.LittleEndian.PutUint32(t[:], v); b.Write(t[:]) }
+func writeU16(b *bytes.Buffer, v uint16) {
+	var t [2]byte
+	binary.LittleEndian.PutUint16(t[:], v)
+	b.Write(t[:])
+}
+func writeU32(b *bytes.Buffer, v uint32) {
+	var t [4]byte
+	binary.LittleEndian.PutUint32(t[:], v)
+	b.Write(t[:])
+}
 func writeI64(b *bytes.Buffer, v int64) {
 	var t [8]byte
 	binary.LittleEndian.PutUint64(t[:], uint64(v))

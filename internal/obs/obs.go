@@ -644,7 +644,10 @@ func (s Snapshot) DecodeNsPerValue() float64 {
 	return float64(s.DecodeNs) / float64(s.DecodeValues)
 }
 
-// SkipRate returns the fraction of scan vectors pruned by zone maps.
+// SkipRate returns the fraction of scan vectors pruned by zone maps,
+// out of those pruned or decompressed. A vector a filtered scan answers
+// in the encoded domain without decompressing it counts in neither, so
+// a selective SumRange or AggRange can report a rate of 1.
 func (s Snapshot) SkipRate() float64 {
 	total := s.VectorsDecoded + s.VectorsSkipped
 	if total == 0 {

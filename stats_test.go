@@ -217,6 +217,44 @@ func TestStatsSumRangeSkipCounts(t *testing.T) {
 	})
 }
 
+// A predicate that straddles a vector's zone range is answered in the
+// encoded domain: the vector counts as examined and as a pushdown
+// vector, but it is never decompressed, so it does not enter SkipRate.
+func TestStatsSumRangeStraddlingCounts(t *testing.T) {
+	withStats(t, func() {
+		values := decimalColumn(5)
+		col := Compress(values)
+		ResetStats()
+
+		lo, hi := 2000.02, 2000.04
+		sum, count, touched := col.SumRange(lo, hi)
+		var want float64
+		wantCount := 0
+		for _, v := range values {
+			if v >= lo && v <= hi {
+				want += v
+				wantCount++
+			}
+		}
+		if touched != 1 || count != wantCount || math.Float64bits(sum) != math.Float64bits(want) {
+			t.Fatalf("SumRange = (%v, %d, %d), want (%v, %d, 1)", sum, count, touched, want, wantCount)
+		}
+
+		s := ReadStats()
+		if s.VectorsSkipped != 4 || s.VectorsDecoded != 0 || s.DecodeValues != 0 {
+			t.Fatalf("skipped %d decoded %d (%d values), want 4, 0 and 0",
+				s.VectorsSkipped, s.VectorsDecoded, s.DecodeValues)
+		}
+		if s.PushdownVectors != 1 || s.PushdownFallbacks != 0 || s.SelectedRows != int64(wantCount) {
+			t.Fatalf("pushdown %d fallbacks %d selected %d, want 1, 0 and %d",
+				s.PushdownVectors, s.PushdownFallbacks, s.SelectedRows, wantCount)
+		}
+		if got := s.SkipRate(); got != 1 {
+			t.Fatalf("SkipRate = %v, want 1 (no vector was decompressed)", got)
+		}
+	})
+}
+
 func TestStatsDisabledIsZero(t *testing.T) {
 	DisableStats()
 	ResetStats() // must be a safe no-op with collection off
