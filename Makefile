@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-snapshot fuzz-smoke serve-smoke server-race mon-smoke cluster-race lint gauntlet gauntlet-check check clean
+.PHONY: all build vet test race bench-smoke bench-snapshot bench-module fuzz-smoke serve-smoke server-race mon-smoke cluster-race lint gauntlet gauntlet-check check clean
 
 all: check
 
@@ -29,6 +29,13 @@ race:
 # (including BenchmarkEncodeObsOff/On) without burning CI minutes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The benchmark harness is its own Go module (benchmark/go.mod, with a
+# replace of the root module), so `go test ./...` at the root never
+# compiles it. This vets and tests it against the engine, format and
+# client APIs of this checkout (~12 s, offline).
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # The dated core-throughput snapshot: encode/decode/filter MV/s over
 # three dataset shapes, plus the served_scan selectivity sweep
@@ -120,7 +127,7 @@ gauntlet-check:
 	$(GO) run ./cmd/alpgauntlet -check BENCH_gauntlet.json
 
 # The full PR gate, mirrored by .github/workflows/ci.yml.
-check: vet build test race bench-smoke serve-smoke mon-smoke server-race cluster-race fuzz-smoke
+check: vet build test race bench-smoke bench-module serve-smoke mon-smoke server-race cluster-race fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -193,7 +193,8 @@ func (c *Column) ValuesParallel(workers int) []float64 {
 	return out
 }
 
-// Sum aggregates the column without materializing it.
+// Sum aggregates the column without materializing it, in the fold
+// order of AggRange.
 func (c *Column) Sum() float64 { return c.col.Sum() }
 
 // BitsPerValue reports the compression ratio in bits per value
@@ -229,7 +230,8 @@ func (c *Column) Scheme(g int) (Scheme, error) {
 // the number of matching values, and the number of vectors examined
 // (the rest were skipped without touching their bytes). An examined
 // vector is decompressed only when the predicate covers it entirely;
-// otherwise the predicate is evaluated on its encoded integers.
+// otherwise the predicate is evaluated on its encoded integers. The sum
+// follows AggRange's fold order.
 func (c *Column) SumRange(lo, hi float64) (sum float64, count, vectorsTouched int) {
 	return c.col.SumRange(lo, hi)
 }
@@ -248,6 +250,11 @@ type FilterAggResult = format.FilterAggResult
 // ALP's decode map is monotone in the encoded integer — so
 // non-qualifying rows are never materialized as floats. ALP_rd
 // row-groups fall back to decode-then-filter. NaN values never match.
+//
+// Sum follows the fold order every aggregate in the package shares:
+// each row-group folds from zero in position order, and the row-group
+// results add in row-group order. The bits therefore match alpserved's
+// /agg at any thread count and a cluster's merged answer.
 func (c *Column) AggRange(lo, hi float64) FilterAggResult {
 	return c.col.AggRange(lo, hi)
 }

@@ -413,9 +413,10 @@ func (c *Client) Ingest(ctx context.Context, name string, values []float64) (Col
 }
 
 // Agg runs SELECT SUM, COUNT, MIN, MAX WHERE p server-side with
-// encoded-domain pushdown. With the server's default single-threaded
-// scan the result is bit-identical to evaluating the same predicate
-// in-process over the same values.
+// encoded-domain pushdown. The server folds each row-group and merges
+// the partials in row-group order, so the result is bit-identical to
+// evaluating the same predicate in-process over the same values, at
+// any thread count.
 func (c *Client) Agg(ctx context.Context, name string, p Predicate) (Agg, error) {
 	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/agg", p.query(), nil, "", "")
 	if err != nil {

@@ -48,12 +48,15 @@ var predicateKeys = [...]string{"lo", "ge", "gt", "hi", "le", "lt", "eq"}
 // verbatim. A proxy or coordinator forwarding a query to backends uses
 // this to re-emit the exact strings it received — no parse/re-format
 // round-trip, so the number literals the backends parse are
-// byte-identical to the ones the caller sent.
+// byte-identical to the ones the caller sent. Every value of a repeated
+// key is kept, because repeated keys intersect (Predicate.And).
 func RawPredicate(q url.Values) Predicate {
 	p := Predicate{params: url.Values{}}
 	for _, k := range predicateKeys {
-		if v := q.Get(k); v != "" {
-			p.params.Set(k, v)
+		for _, v := range q[k] {
+			if v != "" {
+				p.params.Add(k, v)
+			}
 		}
 	}
 	return p

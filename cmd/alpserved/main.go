@@ -65,7 +65,6 @@ func main() {
 		timeout = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		maxBody = flag.Int64("max-body", 1<<30, "ingest body cap in bytes")
 		workers = flag.Int("ingest-workers", 0, "row-group encode workers per ingest (0 = one per CPU)")
-		threads = flag.Int("threads", 1, "default scan parallelism (1 = bit-identical to serial)")
 		retryIn = flag.Duration("retry-after", time.Second, "Retry-After hint returned with shed load")
 		drainT  = flag.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 		debug   = flag.Bool("debug", false, "also serve /debug/vars and /debug/pprof")
@@ -100,7 +99,6 @@ func main() {
 		MaxBodyBytes:       *maxBody,
 		RetryAfter:         *retryIn,
 		IngestWorkers:      *workers,
-		DefaultThreads:     *threads,
 		AccessLog:          openLog(*accLog),
 		SlowQueryLog:       openLog(*slowLog),
 		SlowQueryThreshold: *slowAt,

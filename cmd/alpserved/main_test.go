@@ -33,7 +33,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("building alpserved: %v", err)
 	}
 
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-threads", "1")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -108,18 +109,23 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 // FuzzPushdownAgainstNaive differentially fuzzes the encoded-domain
 // predicate pushdown: the first 16 bytes pick a range predicate (two
 // little-endian float64 bounds, swapped into order when comparable),
-// the rest become the column. The pushdown scan, the forced
-// decode-then-filter scan, the view over a shared compressed column,
-// the merged per-row-group partials and the public column path must
-// agree bit-for-bit on Sum/Count/Min/Max with a plain-slice fold for
-// every input — including NaN or infinite bounds and columns full of
-// exceptions.
+// the rest become the column. The pushdown scan and the forced
+// decode-then-filter scan at 1, 2, 4 and 8 threads, the view over a
+// shared compressed column, the merged per-row-group partials and the
+// public column path must agree bit-for-bit on Sum/Count/Min/Max with
+// a plain-slice fold in the fold order for every input — including NaN
+// or infinite bounds and columns full of exceptions.
 func FuzzPushdownAgainstNaive(f *testing.F) {
 	f.Add(le64(0, 100, 1.25, 50.5, 99.99, -3.25, 100.01))          // band over decimals
 	f.Add(le64(math.NaN(), 1, 0.5, 2.5))                           // NaN bound matches nothing
 	f.Add(le64(0, 0, 0, math.Copysign(0, -1), 1e-300))             // signed zeros on a point band
 	f.Add(le64(math.Inf(-1), math.Inf(1), math.NaN(), math.Pi, 1)) // unbounded over specials
 	f.Add(le64(1e300, 1e308, 1e307, 2.5, math.MaxFloat64))         // bounds beyond encodable range
+	twoGroups := []float64{10, 900}
+	for i := 0; i < RowGroupSize+1500; i++ {
+		twoGroups = append(twoGroups, float64(i*7919%100003)/100)
+	}
+	f.Add(le64(twoGroups...)) // two row-groups: the partials merge
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 16 {
 			return
@@ -132,12 +138,12 @@ func FuzzPushdownAgainstNaive(f *testing.F) {
 		values := fuzzFloats64(raw[16:])
 		p := engine.Between(lo, hi)
 
-		// Plain-slice oracles, folded in index order: one running fold
-		// over the column, and one fold per row-group merged in
-		// row-group order (the partials contract).
-		oracle := func(vals []float64) engine.Agg {
+		// Plain-slice oracle in the fold order: one fold per row-group
+		// in index order, merged in row-group order.
+		want := engine.Agg{Min: math.Inf(1), Max: math.Inf(-1)}
+		for start := 0; start < len(values); start += RowGroupSize {
 			a := engine.Agg{Min: math.Inf(1), Max: math.Inf(-1)}
-			for _, v := range vals {
+			for _, v := range values[start:min(start+RowGroupSize, len(values))] {
 				if p.Match(v) {
 					a.Sum += v
 					a.Count++
@@ -149,16 +155,17 @@ func FuzzPushdownAgainstNaive(f *testing.F) {
 					}
 				}
 			}
-			return a
+			want.Sum += a.Sum
+			want.Count += a.Count
+			if a.Min < want.Min {
+				want.Min = a.Min
+			}
+			if a.Max > want.Max {
+				want.Max = a.Max
+			}
 		}
-		want := oracle(values)
-		var groups []engine.Agg
-		for start := 0; start < len(values); start += RowGroupSize {
-			groups = append(groups, oracle(values[start:min(start+RowGroupSize, len(values))]))
-		}
-		wantMerged := engine.MergeAggs(groups)
 
-		check := func(name string, got, want engine.Agg) {
+		check := func(name string, got engine.Agg) {
 			t.Helper()
 			if math.Float64bits(got.Sum) != math.Float64bits(want.Sum) || got.Count != want.Count ||
 				math.Float64bits(got.Min) != math.Float64bits(want.Min) ||
@@ -168,15 +175,17 @@ func FuzzPushdownAgainstNaive(f *testing.F) {
 		}
 		r := engine.BuildALP(values)
 		view := engine.BuildALPFromColumn("fuzz", format.EncodeColumn(values))
-		push, _ := r.FilterAgg(1, p)
-		check("FilterAgg", push, want)
-		naive, _ := r.FilterAggNaive(1, p)
-		check("FilterAggNaive", naive, want)
-		viewAgg, _ := view.FilterAgg(1, p)
-		check("view FilterAgg", viewAgg, want)
+		for _, threads := range []int{1, 2, 4, 8} {
+			push, _ := r.FilterAgg(threads, p)
+			check(fmt.Sprintf("FilterAgg(%d)", threads), push)
+			naive, _ := r.FilterAggNaive(threads, p)
+			check(fmt.Sprintf("FilterAggNaive(%d)", threads), naive)
+			viewAgg, _ := view.FilterAgg(threads, p)
+			check(fmt.Sprintf("view FilterAgg(%d)", threads), viewAgg)
+		}
 		for _, rel := range []*engine.Relation{r, view} {
 			parts, _ := rel.FilterAggPartials(1, p, nil)
-			check(rel.Name+" MergeAggs(FilterAggPartials)", engine.MergeAggs(parts), wantMerged)
+			check(rel.Name+" MergeAggs(FilterAggPartials)", engine.MergeAggs(parts))
 		}
 		if c := r.FilterCount(1, p); c != want.Count {
 			t.Fatalf("FilterCount([%v,%v]) = %d, want %d", lo, hi, c, want.Count)
@@ -184,7 +193,7 @@ func FuzzPushdownAgainstNaive(f *testing.F) {
 
 		// Public column path (exercises the format layer's scheme switch).
 		res := Compress(values).AggRange(lo, hi)
-		check("Column.AggRange", engine.Agg{Sum: res.Sum, Count: int64(res.Count), Min: res.Min, Max: res.Max}, want)
+		check("Column.AggRange", engine.Agg{Sum: res.Sum, Count: int64(res.Count), Min: res.Min, Max: res.Max})
 	})
 }
 

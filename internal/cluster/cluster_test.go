@@ -127,6 +127,7 @@ func predicateSweep() []sweepCase {
 		{"between", client.Between(90, 160), engine.Between(90, 160)},
 		{"eq", client.EQ(42.42), engine.EQ(42.42)},
 		{"empty", client.GT(1e12), engine.GT(1e12)},
+		{"and-same-key", client.Between(0, 150).And(client.Between(50, 100)), engine.Between(50, 100)},
 	}
 }
 
@@ -214,6 +215,15 @@ func TestClusteredDifferentialBattery(t *testing.T) {
 			for _, sc := range predicateSweep() {
 				parts, wantTouched := rel.FilterAggPartials(1, sc.ep, nil)
 				want := engine.MergeAggs(parts)
+				// One fold order: the in-process FilterAgg is the merged
+				// partials at any thread count.
+				for _, threads := range []int{1, 4} {
+					if got, _ := rel.FilterAgg(threads, sc.ep); !bitsEq(got.Sum, want.Sum) || got.Count != want.Count ||
+						!bitsEq(got.Min, want.Min) || !bitsEq(got.Max, want.Max) {
+						t.Fatalf("%d shards, %s/%s: FilterAgg(%d) %+v != merged partials %+v",
+							shards, dname, sc.name, threads, got, want)
+					}
+				}
 
 				agg, err := cl.Agg(ctx, dname, sc.cp)
 				if err != nil {

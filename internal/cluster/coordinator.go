@@ -452,7 +452,7 @@ func allRGs(n int) []int {
 
 // Agg runs the filtered aggregate across the cluster: per-row-group
 // partials fetched from each row-group's first healthy replica, merged
-// in global row-group order (engine.MergeAggs — the contract DESIGN.md
+// in global row-group order (engine.MergeAggs — the fold order DESIGN.md
 // pins), so the result is bit-identical to single-node at any shard
 // count and under any failover.
 func (c *Coordinator) Agg(ctx context.Context, name string, p client.Predicate) (client.Agg, error) {

@@ -6,8 +6,8 @@
 // Relation whose partitions are per-row-group views: each partition
 // addresses its own global vector range, so morsel-parallel scans,
 // zone-map skipping and encoded-domain pushdown all work unchanged,
-// and a single-threaded FilterAgg folds rows in position order —
-// bit-identical to scanning the same values in process.
+// and FilterAgg folds each row-group exactly as BuildALP's partitions
+// do — bit-identical to scanning the same values in process.
 
 package engine
 

@@ -52,39 +52,36 @@ func (r *Relation) CompressedBytes() (total int, ok bool) {
 	return total, ok
 }
 
-// run executes fn over all partitions with the given number of worker
-// goroutines, morsel-driven: workers atomically claim the next
-// partition index.
-func (r *Relation) run(threads int, fn func(p Partition, buf []float64, acc *float64)) float64 {
+// morsels runs fn(k, bufs) for every k in [0, n) on threads worker
+// goroutines, morsel-driven: each worker atomically claims the next
+// index and owns one set of scratch buffers. fn writes its result into
+// slot k of a caller-owned slice, and the caller merges the slots in
+// index order, so no result depends on which worker ran which index.
+// This is the engine's only parallel loop.
+func morsels(threads, n int, fn func(k int, bufs *filterBufs)) {
 	if threads < 1 {
 		threads = 1
 	}
 	o := obs.Active()
 	o.ScanWorkers(threads)
 	var next atomic.Int64
-	results := make([]float64, threads)
 	var wg sync.WaitGroup
 	for t := 0; t < threads; t++ {
 		wg.Add(1)
-		go func(t int) {
+		go func() {
 			defer wg.Done()
-			buf := make([]float64, vector.Size)
+			bufs := newFilterBufs()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(r.Parts) {
+				k := int(next.Add(1)) - 1
+				if k >= n {
 					return
 				}
 				o.MorselClaim()
-				fn(r.Parts[i], buf, &results[t])
+				fn(k, bufs)
 			}
-		}(t)
+		}()
 	}
 	wg.Wait()
-	var total float64
-	for _, v := range results {
-		total += v
-	}
-	return total
 }
 
 // Scan decompresses the whole relation with the given parallelism and
@@ -92,25 +89,37 @@ func (r *Relation) run(threads int, fn func(p Partition, buf []float64, acc *flo
 // materialized into the per-worker buffer and discarded, like a scan
 // feeding a no-op consumer.
 func (r *Relation) Scan(threads int) int {
-	n := r.run(threads, func(p Partition, buf []float64, acc *float64) {
-		p.Scan(buf, func(vals []float64) {
-			*acc += float64(len(vals))
-		})
+	counts := make([]int, len(r.Parts))
+	morsels(threads, len(r.Parts), func(k int, bufs *filterBufs) {
+		r.Parts[k].Scan(bufs.out, func(vals []float64) { counts[k] += len(vals) })
 	})
-	return int(n)
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	return total
 }
 
 // Sum runs SELECT SUM(col): scan feeding a vectorized aggregation.
+// Each partition sums from zero in position order and the partition
+// sums add in partition order, so the result is the same at any
+// thread count.
 func (r *Relation) Sum(threads int) float64 {
-	return r.run(threads, func(p Partition, buf []float64, acc *float64) {
-		p.Scan(buf, func(vals []float64) {
-			s := 0.0
+	sums := make([]float64, len(r.Parts))
+	morsels(threads, len(r.Parts), func(k int, bufs *filterBufs) {
+		r.Parts[k].Scan(bufs.out, func(vals []float64) {
+			s := sums[k]
 			for _, v := range vals {
 				s += v
 			}
-			*acc += s
+			sums[k] = s
 		})
 	})
+	var total float64
+	for _, s := range sums {
+		total += s
+	}
+	return total
 }
 
 // partitionRanges splits n values into row-group-sized ranges.
@@ -229,75 +238,19 @@ func BuildStream(name string, values []float64,
 	return r
 }
 
-// RangeScanner is implemented by partitions that can answer a range
-// predicate with vector skipping (zone-map push-down). Partitions that
-// cannot skip fall back to a full scan plus filter.
-type RangeScanner interface {
-	// SumRange returns the sum and count of values in [lo, hi], plus
-	// the number of vectors examined (not skipped).
-	SumRange(lo, hi float64) (sum float64, count, touched int)
-}
-
 // SumRange runs SELECT SUM(col), COUNT(*) WHERE col BETWEEN lo AND hi
-// with the given parallelism. ALP partitions push the predicate into
-// the scan via their zone maps and skip non-qualifying vectors; stream
+// with the given parallelism: FilterAgg over Between(lo, hi). ALP
+// partitions push the predicate into the scan via their zone maps and
+// skip non-qualifying vectors, each counting as one range scan; stream
 // partitions must decompress everything and filter. The returned
 // touched count (vectors examined) quantifies the push-down win.
 func (r *Relation) SumRange(threads int, lo, hi float64) (sum float64, count, touched int) {
-	if threads < 1 {
-		threads = 1
-	}
 	o := obs.Active()
-	o.ScanWorkers(threads)
-	var next atomic.Int64
-	type acc struct {
-		sum            float64
-		count, touched int
+	for _, part := range r.Parts {
+		if _, ok := part.(PushdownScanner); ok {
+			o.RangeScan()
+		}
 	}
-	results := make([]acc, threads)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			buf := make([]float64, vector.Size)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(r.Parts) {
-					return
-				}
-				o.MorselClaim()
-				a := &results[t]
-				if rs, ok := r.Parts[i].(RangeScanner); ok {
-					s, c, tv := rs.SumRange(lo, hi)
-					a.sum += s
-					a.count += c
-					a.touched += tv
-					continue
-				}
-				r.Parts[i].Scan(buf, func(vals []float64) {
-					a.touched++
-					for _, v := range vals {
-						if v >= lo && v <= hi {
-							a.sum += v
-							a.count++
-						}
-					}
-				})
-			}
-		}(t)
-	}
-	wg.Wait()
-	for i := range results {
-		sum += results[i].sum
-		count += results[i].count
-		touched += results[i].touched
-	}
-	return sum, count, touched
-}
-
-// SumRange implements RangeScanner for ALP partitions via the column's
-// zone maps.
-func (p *alpPartition) SumRange(lo, hi float64) (float64, int, int) {
-	return p.col.SumRange(lo, hi)
+	a, touched := r.FilterAgg(threads, Between(lo, hi))
+	return a.Sum, int(a.Count), touched
 }

@@ -16,12 +16,18 @@ func testValues(n int) []float64 {
 	return d.Generate(n)
 }
 
+// naiveSum sums values in the fold order: each row-group from zero in
+// index order, the row-group sums in order.
 func naiveSum(values []float64) float64 {
-	var s float64
-	for _, v := range values {
-		s += v
+	var total float64
+	for lo := 0; lo < len(values); lo += vector.RowGroupSize {
+		var s float64
+		for _, v := range values[lo:min(lo+vector.RowGroupSize, len(values))] {
+			s += v
+		}
+		total += s
 	}
-	return s
+	return total
 }
 
 func TestScanCountsAllTuples(t *testing.T) {
@@ -49,10 +55,7 @@ func TestSumMatchesNaive(t *testing.T) {
 	}
 	for _, r := range rels {
 		for _, threads := range []int{1, 2, 8} {
-			got := r.Sum(threads)
-			// Summation order differs across partitions/threads; allow
-			// relative floating-point slack.
-			if math.Abs(got-want) > 1e-9*math.Abs(want) {
+			if got := r.Sum(threads); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s sum(%d) = %v, want %v", r.Name, threads, got, want)
 			}
 		}

@@ -9,11 +9,7 @@
 package engine
 
 import (
-	"context"
 	"math"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/goalp/alp/internal/alpenc"
 	"github.com/goalp/alp/internal/format"
@@ -92,12 +88,10 @@ func newFilterBufs() *filterBufs {
 // zone maps and/or filtering in the encoded-integer domain. Partitions
 // without it are scanned and filtered in the float domain.
 type PushdownScanner interface {
-	// FilterAgg folds the rows matching p into a, in position order,
-	// returning the number of vectors whose payload was examined.
-	// Folding into the caller's accumulator (rather than returning a
-	// partition-local aggregate) keeps a single-threaded filtered scan
-	// bit-identical to one running fold over the whole column.
-	FilterAgg(p Predicate, bufs *filterBufs, a *Agg) int
+	// FilterAgg folds the rows matching p from a fresh accumulator, in
+	// position order, returning the partition's aggregate and the
+	// number of vectors whose payload was examined.
+	FilterAgg(p Predicate, bufs *filterBufs) (Agg, int)
 	// FilterCount returns the number of rows matching p and the number
 	// of vectors examined, without materializing any qualifying row.
 	FilterCount(p Predicate, bufs *filterBufs) (int64, int)
@@ -105,147 +99,16 @@ type PushdownScanner interface {
 
 // filterAggFallback answers FilterAgg for partitions with no pushdown
 // support: scan vector-at-a-time, filter in the float domain, fold.
-func filterAggFallback(part Partition, p Predicate, bufs *filterBufs, a *Agg) int {
-	o := obs.Active()
+func filterAggFallback(part Partition, p Predicate, bufs *filterBufs) (Agg, int) {
+	a := alpenc.EmptyAgg()
 	touched := 0
 	var batch obs.ScanBatch
 	part.Scan(bufs.out, func(vals []float64) {
 		touched++
 		batch.Vector(a.FoldMatching(vals, p.Lo, p.Hi), false)
 	})
-	o.FlushScanBatch(&batch)
-	return touched
-}
-
-// FilterAgg runs SELECT SUM, COUNT, MIN, MAX WHERE p with the given
-// parallelism, pushing the predicate into each partition as deep as it
-// supports. Touched counts vectors whose payload was examined across
-// all partitions (zone-map-skipped vectors are not touched).
-//
-// With threads == 1 the result is bit-identical to a serial
-// decode-then-filter aggregate; with more threads the float Sum may
-// differ by rounding because partition results merge in worker order.
-func (r *Relation) FilterAgg(threads int, p Predicate) (Agg, int) {
-	return r.filterAgg(threads, p, false)
-}
-
-// FilterAggNaive is FilterAgg with pushdown disabled: every partition
-// decodes everything and filters in the float domain. It exists as the
-// decode-then-filter comparand for benchmarks and differential tests.
-func (r *Relation) FilterAggNaive(threads int, p Predicate) (Agg, int) {
-	return r.filterAgg(threads, p, true)
-}
-
-// FilterAggCtx is FilterAgg with request-scoped tracing: when ctx
-// carries an obs.Trace (a traced server request), the whole morsel
-// fan-out is attributed to the trace's engine span. The query itself
-// is unaffected — untraced contexts behave exactly like FilterAgg.
-func (r *Relation) FilterAggCtx(ctx context.Context, threads int, p Predicate) (Agg, int) {
-	tr := obs.TraceFrom(ctx)
-	if tr == nil {
-		return r.filterAgg(threads, p, false)
-	}
-	start := time.Now()
-	a, n := r.filterAgg(threads, p, false)
-	tr.AddSince(obs.SpanEngine, start)
-	return a, n
-}
-
-// FilterCountCtx is FilterCount with request-scoped tracing, mirroring
-// FilterAggCtx.
-func (r *Relation) FilterCountCtx(ctx context.Context, threads int, p Predicate) int64 {
-	tr := obs.TraceFrom(ctx)
-	if tr == nil {
-		return r.FilterCount(threads, p)
-	}
-	start := time.Now()
-	c := r.FilterCount(threads, p)
-	tr.AddSince(obs.SpanEngine, start)
-	return c
-}
-
-func (r *Relation) filterAgg(threads int, p Predicate, forceNaive bool) (Agg, int) {
-	if threads < 1 {
-		threads = 1
-	}
-	o := obs.Active()
-	o.ScanWorkers(threads)
-	var next atomic.Int64
-	results := make([]Agg, threads)
-	touched := make([]int, threads)
-	for t := range results {
-		results[t] = alpenc.EmptyAgg()
-	}
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			bufs := newFilterBufs()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(r.Parts) {
-					return
-				}
-				o.MorselClaim()
-				if ps, ok := r.Parts[i].(PushdownScanner); ok && !forceNaive {
-					touched[t] += ps.FilterAgg(p, bufs, &results[t])
-				} else {
-					touched[t] += filterAggFallback(r.Parts[i], p, bufs, &results[t])
-				}
-			}
-		}(t)
-	}
-	wg.Wait()
-	total := alpenc.EmptyAgg()
-	n := 0
-	for t := range results {
-		total.Merge(results[t])
-		n += touched[t]
-	}
-	return total, n
-}
-
-// FilterCount runs SELECT COUNT(*) WHERE p. On pushdown-capable
-// partitions no qualifying row is ever materialized: the count comes
-// straight from the selection bitmaps.
-func (r *Relation) FilterCount(threads int, p Predicate) int64 {
-	if threads < 1 {
-		threads = 1
-	}
-	o := obs.Active()
-	o.ScanWorkers(threads)
-	var next atomic.Int64
-	counts := make([]int64, threads)
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			bufs := newFilterBufs()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(r.Parts) {
-					return
-				}
-				o.MorselClaim()
-				if ps, ok := r.Parts[i].(PushdownScanner); ok {
-					c, _ := ps.FilterCount(p, bufs)
-					counts[t] += c
-					continue
-				}
-				a := alpenc.EmptyAgg()
-				filterAggFallback(r.Parts[i], p, bufs, &a)
-				counts[t] += a.Count
-			}
-		}(t)
-	}
-	wg.Wait()
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	return total
+	obs.Active().FlushScanBatch(&batch)
+	return a, touched
 }
 
 // rowGatherer is implemented by partitions that can materialize the
@@ -301,10 +164,10 @@ func (r vecRange) Scan(buf []float64, emit func([]float64)) {
 }
 
 // FilterAgg implements PushdownScanner: zone maps skip vectors that
-// cannot qualify, and the rest fold their qualifying rows into a
-// through the format layer's per-scheme fold (format.Column.AggVectors).
-func (r vecRange) FilterAgg(pred Predicate, bufs *filterBufs, a *Agg) int {
-	return r.col.AggVectors(r.first, r.end, pred.Lo, pred.Hi, a, bufs.out, bufs.scratch)
+// cannot qualify, and the rest fold their qualifying rows through the
+// format layer's per-scheme fold (format.Column.AggVectors).
+func (r vecRange) FilterAgg(pred Predicate, bufs *filterBufs) (Agg, int) {
+	return r.col.AggVectors(r.first, r.end, pred.Lo, pred.Hi, bufs.out, bufs.scratch)
 }
 
 // FilterRows implements rowGatherer: the selection bitmap from the

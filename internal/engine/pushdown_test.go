@@ -10,23 +10,36 @@ import (
 	"github.com/goalp/alp/internal/vector"
 )
 
-// aggOracle filters and folds a plain slice in index order — the
-// ground truth every engine path must reproduce.
+// aggOracle filters and folds a plain slice in the fold order — the
+// ground truth every engine path must reproduce: each row-group folds
+// from a fresh accumulator in index order, and the row-group
+// aggregates merge in row-group order.
 func aggOracle(values []float64, p Predicate) Agg {
-	a := alpenc.EmptyAgg()
-	for _, v := range values {
-		if p.Match(v) {
-			a.Sum += v
-			a.Count++
-			if v < a.Min {
-				a.Min = v
-			}
-			if v > a.Max {
-				a.Max = v
+	total := alpenc.EmptyAgg()
+	for lo := 0; lo < len(values); lo += vector.RowGroupSize {
+		a := alpenc.EmptyAgg()
+		for _, v := range values[lo:min(lo+vector.RowGroupSize, len(values))] {
+			if p.Match(v) {
+				a.Sum += v
+				a.Count++
+				if v < a.Min {
+					a.Min = v
+				}
+				if v > a.Max {
+					a.Max = v
+				}
 			}
 		}
+		total.Sum += a.Sum
+		total.Count += a.Count
+		if a.Min < total.Min {
+			total.Min = a.Min
+		}
+		if a.Max > total.Max {
+			total.Max = a.Max
+		}
 	}
-	return a
+	return total
 }
 
 func sameAgg(a, b Agg) bool {
@@ -93,16 +106,13 @@ func TestFilterAggMatchesOracleAllRelations(t *testing.T) {
 			if c := r.FilterCount(1, p); c != want.Count {
 				t.Fatalf("%s FilterCount = %d, want %d", r.Name, c, want.Count)
 			}
-			// Parallel runs merge partition aggregates in worker order:
-			// Count/Min/Max stay exact, Sum may re-associate.
-			got4, _ := r.FilterAgg(4, p)
-			if got4.Count != want.Count ||
-				math.Float64bits(got4.Min) != math.Float64bits(want.Min) ||
-				math.Float64bits(got4.Max) != math.Float64bits(want.Max) {
-				t.Fatalf("%s FilterAgg(4) = %+v, want count/min/max of %+v", r.Name, got4, want)
-			}
-			if diff := math.Abs(got4.Sum - want.Sum); diff > 1e-9*math.Max(1, math.Abs(want.Sum)) {
-				t.Fatalf("%s FilterAgg(4) sum = %v, want %v", r.Name, got4.Sum, want.Sum)
+			// Partials merge in row-group order whatever the thread
+			// count, so every field stays bit-exact.
+			for _, threads := range []int{2, 4, 8} {
+				got, _ := r.FilterAgg(threads, p)
+				if !sameAgg(got, want) {
+					t.Fatalf("%s FilterAgg(%d, [%v,%v]) = %+v, want %+v", r.Name, threads, p.Lo, p.Hi, got, want)
+				}
 			}
 		}
 	}
@@ -193,9 +203,8 @@ func TestFilterCountAllocsNoFloats(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("FilterCount allocates %.1f objects per scan, want 0", allocs)
 	}
-	agg := alpenc.EmptyAgg()
 	aggAllocs := testing.AllocsPerRun(50, func() {
-		part.FilterAgg(p, bufs, &agg)
+		part.FilterAgg(p, bufs)
 	})
 	if aggAllocs != 0 {
 		t.Fatalf("FilterAgg allocates %.1f objects per scan, want 0", aggAllocs)

@@ -173,11 +173,12 @@ type FilterAggResult struct {
 	Touched int
 }
 
-// AggVectors folds the rows in [lo, hi] of vectors [first, end) into a,
-// in position order, skipping the vectors the zone map rules out. It
-// returns the number of vectors whose payload was examined and records
-// the skip and pushdown counters once for the whole range. buf and
-// scratch must each hold vector.Size elements.
+// AggVectors folds the rows in [lo, hi] of vectors [first, end) from a
+// fresh accumulator, in position order, skipping the vectors the zone
+// map rules out. It returns the aggregate and the number of vectors
+// whose payload was examined, and records the skip and pushdown
+// counters once for the whole range. buf and scratch must each hold
+// vector.Size elements.
 //
 // Each scheme has one fold. Decimal-scheme vectors run the
 // encoded-domain filter and gather (FilterGatherVector, which
@@ -185,8 +186,9 @@ type FilterAggResult struct {
 // gathered rows are folded once in registers (alpenc.Agg.Fold). ALP_rd
 // vectors decode, then compare and fold in one loop, with no bitmap and
 // no compaction (alpenc.Agg.FoldMatching).
-func (c *Column) AggVectors(first, end int, lo, hi float64, a *alpenc.Agg, buf []float64, scratch []int64) (touched int) {
+func (c *Column) AggVectors(first, end int, lo, hi float64, buf []float64, scratch []int64) (a alpenc.Agg, touched int) {
 	o := obs.Active()
+	a = alpenc.EmptyAgg()
 	skipped := 0
 	var batch obs.ScanBatch
 	var sel [SelWords]uint64
@@ -209,18 +211,25 @@ func (c *Column) AggVectors(first, end int, lo, hi float64, a *alpenc.Agg, buf [
 	}
 	o.VectorsSkipped(skipped)
 	o.FlushScanBatch(&batch)
-	return touched
+	return a, touched
 }
 
 // AggRange computes SUM/COUNT/MIN/MAX over the values in [lo, hi],
 // combining zone-map vector skipping with encoded-domain predicate
-// pushdown (AggVectors over the whole column). The fold visits rows in
-// position order from zero, so Sum is bit-identical to a naive
-// decode-then-filter aggregate.
+// pushdown. Each row-group folds from a fresh accumulator in position
+// order (AggVectors) and the partials merge in row-group order: the
+// fold order of every aggregate in the repo, so the result is
+// bit-identical to the engine's FilterAgg over the same column.
 func (c *Column) AggRange(lo, hi float64) FilterAggResult {
 	obs.Active().RangeScan()
-	a := alpenc.EmptyAgg()
-	touched := c.AggVectors(0, c.NumVectors(), lo, hi, &a,
-		make([]float64, vector.Size), make([]int64, vector.Size))
-	return FilterAggResult{Sum: a.Sum, Count: int(a.Count), Min: a.Min, Max: a.Max, Touched: touched}
+	buf, scratch := make([]float64, vector.Size), make([]int64, vector.Size)
+	total := alpenc.EmptyAgg()
+	touched := 0
+	for g := range c.RowGroups {
+		first := g * vector.RowGroupVectors
+		a, n := c.AggVectors(first, first+vector.VectorsIn(c.RowGroups[g].N), lo, hi, buf, scratch)
+		total.Merge(a)
+		touched += n
+	}
+	return FilterAggResult{Sum: total.Sum, Count: int(total.Count), Min: total.Min, Max: total.Max, Touched: touched}
 }

@@ -292,16 +292,23 @@ func (c *Column) SumRange(lo, hi float64) (sum float64, count, touched int) {
 
 // Sum decompresses nothing it does not need: it folds the whole column
 // through per-vector decode buffers, mirroring a SUM aggregation over a
-// scan (§4.3). NaN values propagate as in IEEE arithmetic.
+// scan (§4.3). Each row-group sums from zero in position order and the
+// sums add in row-group order, the fold order of AggRange. NaN values
+// propagate as in IEEE arithmetic.
 func (c *Column) Sum() float64 {
-	var sum float64
+	var total float64
 	scratch := make([]int64, vector.Size)
 	buf := make([]float64, vector.Size)
-	for i := 0; i < c.NumVectors(); i++ {
-		n := c.DecodeVector(i, buf, scratch)
-		for _, v := range buf[:n] {
-			sum += v
+	for g := range c.RowGroups {
+		first := g * vector.RowGroupVectors
+		var sum float64
+		for i := first; i < first+vector.VectorsIn(c.RowGroups[g].N); i++ {
+			n := c.DecodeVector(i, buf, scratch)
+			for _, v := range buf[:n] {
+				sum += v
+			}
 		}
+		total += sum
 	}
-	return sum
+	return total
 }

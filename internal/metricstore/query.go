@@ -12,12 +12,13 @@
 //     sum += p.sum, count += p.count, min/max compare, last overwrite.
 //
 // Floating-point addition is not associative, so (2)+(3) is a specific
-// summation order — and it is exactly the order the engine's
-// filtered-aggregate pushdown uses for a fully-covered sealed window:
-// Column.AggRange folds matching values from zero in position order,
-// so its partial is bitwise the plain fold the reference performs.
-// Sealed windows only partially covered by a bucket decode just the
-// touched vectors (Column.ReadVectorInto) and fold the in-range span.
+// summation order. For a fully-covered sealed window of at most one
+// row-group it is exactly the engine's fold order: Column.AggRange folds
+// each row-group from zero in position order, and a window that fits in
+// one row-group is one partial, bitwise the plain fold the reference
+// performs. Larger windows, and sealed windows only partially covered
+// by a bucket, decode just the touched vectors (Column.ReadVectorInto)
+// and fold the in-range span.
 // Values are derived from int64 counters and are therefore never NaN,
 // so the (-Inf, +Inf) pushdown predicate matches every sample.
 package metricstore
@@ -237,11 +238,12 @@ func (st *Store) Query(metric string, sinceUs, untilUs int64, step time.Duration
 // queryWindow folds one sealed window into accs.
 //
 // Fast path: when every sample of the window lands in the same step
-// bucket and the whole window is inside the query range, the partial
-// is exactly Column.AggRange over the full column — the fused
-// unpack+compare pushdown kernel, no vector materialization. AggLast
-// needs the final sample's value, which the pushdown result does not
-// carry, so last-queries always take the decode path.
+// bucket, the whole window is inside the query range and the window
+// fits in one row-group, the partial is exactly Column.AggRange over
+// the full column — the fused unpack+compare pushdown kernel, no
+// vector materialization. AggLast needs the final sample's value,
+// which the pushdown result does not carry, so last-queries always
+// take the decode path.
 //
 // Slow path: binary-search the decoded timestamp column for the
 // in-range span, decode only the vectors that span touches, and fold
@@ -249,7 +251,7 @@ func (st *Store) Query(metric string, sinceUs, untilUs int64, step time.Duration
 func queryWindow(accs map[int64]*bucketAcc, w *window, idx int, sinceUs, untilUs, stepUs int64, agg AggKind) {
 	firstB := (int64(w.firstUs) - sinceUs) / stepUs
 	lastB := (int64(w.lastUs) - sinceUs) / stepUs
-	if agg != AggLast &&
+	if agg != AggLast && w.n <= alp.RowGroupSize &&
 		int64(w.firstUs) >= sinceUs && int64(w.lastUs) < untilUs && firstB == lastB {
 		r := w.cols[idx].AggRange(math.Inf(-1), math.Inf(1))
 		a := accs[firstB]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -196,6 +197,40 @@ func TestAccessLogAndSlowQuery(t *testing.T) {
 	slowLine := waitForLine(t, &slowLog, reqID)
 	if !strings.Contains(slowLine, `"slow":true`) {
 		t.Errorf("slow-query line lacks slow marker: %s", slowLine)
+	}
+}
+
+// TestAggEngineSpan: /agg and /count time the engine span in both
+// modes, so a partials request (what a coordinator sends) shows its
+// engine time in the access log like a merged one does.
+func TestAggEngineSpan(t *testing.T) {
+	var access syncBuffer
+	ts := httptest.NewServer(New(Options{AccessLog: &access}).Handler())
+	defer ts.Close()
+	if _, err := client.New(ts.URL).Ingest(context.Background(), "spans", dataset(4096, 32)); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	for i, path := range []string{"agg", "agg?partials=rowgroups", "count", "count?partials=rowgroups"} {
+		reqID := fmt.Sprintf("span-req-%d", i)
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/columns/spans/"+path, nil)
+		req.Header.Set(RequestIDHeader, reqID)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		var rec struct {
+			Spans map[string]int64 `json:"spans"`
+		}
+		if err := json.Unmarshal([]byte(waitForLine(t, &access, reqID)), &rec); err != nil {
+			t.Fatalf("%s: access-log line is not JSON: %v", path, err)
+		}
+		if rec.Spans["engine"] <= 0 {
+			t.Errorf("%s: engine span = %d, want > 0", path, rec.Spans["engine"])
+		}
 	}
 }
 

@@ -88,6 +88,7 @@ func TestScanDifferentialBattery(t *testing.T) {
 		{"decimals", sweepDecimals(2*vector.RowGroupSize + 3333)},
 		{"specials", sweepSpecials(vector.RowGroupSize + 4*vector.Size + 55)},
 		{"realdoubles", sweepRealDoubles(6*vector.Size + 7)},
+		{"empty", nil},
 	}
 	bands := []struct {
 		name   string

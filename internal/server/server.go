@@ -12,9 +12,9 @@
 //	GET    /v1/columns                   list column names
 //	GET    /v1/columns/{name}            column info (values, bits/value, schemes, exceptions)
 //	DELETE /v1/columns/{name}            drop a column
-//	GET    /v1/columns/{name}/agg        filtered SUM/COUNT/MIN/MAX via engine.FilterAgg
-//	                                     (?partials=rowgroups returns per-row-group partials, ?rgs= a subset)
-//	GET    /v1/columns/{name}/count      filtered COUNT via engine.FilterCount (?partials=rowgroups as above)
+//	GET    /v1/columns/{name}/agg        filtered SUM/COUNT/MIN/MAX: engine.FilterAggPartials merged in row-group order
+//	                                     (?partials=rowgroups returns the partials unmerged, ?rgs= a subset)
+//	GET    /v1/columns/{name}/count      filtered COUNT: engine.FilterCountPartials summed (?partials=rowgroups as above)
 //	GET    /v1/columns/{name}/scan       stream qualifying rows (little-endian float64s; ?rg_lo/?rg_hi bound the range)
 //	GET    /v1/columns/{name}/data       the compressed column stream (?rg_lo/?rg_hi export a re-based range)
 //	GET    /v1/columns/{name}/vectors/{i} one encoded vector as a standalone envelope
@@ -40,8 +40,15 @@
 // exactly like the in-process engine constructors, then intersected.
 // Repeated parameters intersect too, so a conjunction of bounds can be
 // spelled one key per conjunct (the client's Predicate.And does this).
-// threads selects scan parallelism (default 1, which is bit-identical
-// to an in-process single-threaded FilterAgg on the same values).
+//
+// Fold order: /agg and /count run one engine call that folds each
+// row-group from a fresh accumulator in position order; the merged
+// answer adds those partials in row-group order, and partials mode
+// returns them as they are. The answer is therefore bit-identical
+// (Float64bits) to the in-process engine.FilterAgg, to alp.Column's
+// AggRange and to a coordinator merging the same partials from several
+// backends. ?threads= (default 1, at most 64) is a per-request speed
+// hint only; it never changes a result.
 //
 // Robustness: a semaphore admission limiter sheds load with 429 +
 // Retry-After instead of queueing unboundedly; every request runs
@@ -89,9 +96,6 @@ type Options struct {
 	RetryAfter time.Duration
 	// IngestWorkers is the Writer encode-pool size (0 = one per CPU).
 	IngestWorkers int
-	// DefaultThreads is the scan parallelism when a request does not
-	// pass ?threads=. 0 means 1 — the bit-identical-to-serial setting.
-	DefaultThreads int
 	// AccessLog, when set, receives one JSON line per admitted request
 	// (request ID, method, path, status, bytes, duration, span
 	// breakdown). Writes are serialized by the server.
@@ -120,9 +124,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
-	}
-	if o.DefaultThreads <= 0 {
-		o.DefaultThreads = 1
 	}
 	if o.SlowQueryThreshold <= 0 {
 		o.SlowQueryThreshold = 250 * time.Millisecond
@@ -490,11 +491,13 @@ func parsePredicate(q url.Values) (engine.Predicate, error) {
 	return p, nil
 }
 
-// parseThreads resolves the ?threads= parameter.
-func (s *Server) parseThreads(q url.Values) (int, error) {
+// parseThreads resolves the ?threads= parameter: a speed hint only,
+// default 1. Every aggregate folds per row-group and merges in
+// row-group order, so the answer is the same at any value.
+func parseThreads(q url.Values) (int, error) {
 	v := q.Get("threads")
 	if v == "" {
-		return s.opts.DefaultThreads, nil
+		return 1, nil
 	}
 	t, err := strconv.Atoi(v)
 	if err != nil || t < 1 || t > maxThreads {
@@ -755,33 +758,47 @@ type aggPartialWire struct {
 	Max   string `json:"max"`
 }
 
+// aggQuery parses what /agg and /count share: the predicate, the
+// ?threads= hint and, with ?partials=rowgroups, the ?rgs= subset of the
+// column's rowGroups. It writes the 400 itself and returns ok=false on
+// a bad parameter.
+func aggQuery(w http.ResponseWriter, q url.Values, rowGroups int) (pred engine.Predicate, threads int, partials bool, idxs []int, ok bool) {
+	pred, err := parsePredicate(q)
+	if err == nil {
+		threads, err = parseThreads(q)
+	}
+	partials = q.Get("partials") == "rowgroups"
+	if err == nil && partials {
+		idxs, err = parseRowGroups(q, rowGroups)
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return pred, 0, false, nil, false
+	}
+	return pred, threads, partials, idxs, true
+}
+
+// handleAgg answers both modes from one engine call: the per-row-group
+// partials, either returned as they are (?partials=rowgroups) or merged
+// in row-group order — the fold order that makes the answer the same
+// at any ?threads= and through a coordinator.
 func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
 	sc, ok := s.getColumn(w, r)
 	if !ok {
 		return
 	}
-	q := r.URL.Query()
-	pred, err := parsePredicate(q)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	threads, err := s.parseThreads(q)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	pred, threads, partials, idxs, ok := aggQuery(w, r.URL.Query(), len(sc.col.RowGroups))
+	if !ok {
 		return
 	}
 	if s.testHook != nil {
 		s.testHook()
 	}
-	if q.Get("partials") == "rowgroups" {
-		idxs, err := parseRowGroups(q, len(sc.col.RowGroups))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		parts, touched := sc.rel.FilterAggPartials(threads, pred, idxs)
-		obs.Active().ServerScanned()
+	start := time.Now()
+	parts, touched := sc.rel.FilterAggPartials(threads, pred, idxs)
+	obs.TraceFrom(r.Context()).AddSince(obs.SpanEngine, start)
+	obs.Active().ServerScanned()
+	if partials {
 		wire := make([]aggPartialWire, len(parts))
 		for i, a := range parts {
 			wire[i] = aggPartialWire{
@@ -796,8 +813,7 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	agg, touched := sc.rel.FilterAggCtx(r.Context(), threads, pred)
-	obs.Active().ServerScanned()
+	agg := engine.MergeAggs(parts)
 	writeJSON(w, http.StatusOK, aggResponse{
 		Sum:     fmtFloat(agg.Sum),
 		Count:   agg.Count,
@@ -808,35 +824,29 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// handleCount mirrors handleAgg for COUNT(*): one engine call for the
+// per-row-group counts, returned as they are or summed.
 func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 	sc, ok := s.getColumn(w, r)
 	if !ok {
 		return
 	}
-	q := r.URL.Query()
-	pred, err := parsePredicate(q)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	pred, threads, partials, idxs, ok := aggQuery(w, r.URL.Query(), len(sc.col.RowGroups))
+	if !ok {
 		return
 	}
-	threads, err := s.parseThreads(q)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if q.Get("partials") == "rowgroups" {
-		idxs, err := parseRowGroups(q, len(sc.col.RowGroups))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		counts := sc.rel.FilterCountPartials(threads, pred, idxs)
-		obs.Active().ServerScanned()
+	start := time.Now()
+	counts := sc.rel.FilterCountPartials(threads, pred, idxs)
+	obs.TraceFrom(r.Context()).AddSince(obs.SpanEngine, start)
+	obs.Active().ServerScanned()
+	if partials {
 		writeJSON(w, http.StatusOK, map[string]any{"rowgroups": counts, "threads": threads})
 		return
 	}
-	count := sc.rel.FilterCountCtx(r.Context(), threads, pred)
-	obs.Active().ServerScanned()
+	var count int64
+	for _, c := range counts {
+		count += c
+	}
 	writeJSON(w, http.StatusOK, map[string]any{"count": count, "threads": threads})
 }
 
@@ -892,8 +902,13 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	vecLo := rgLo * vector.RowGroupVectors
-	vecHi := rgHi*vector.RowGroupVectors + vector.VectorsIn(sc.col.RowGroups[rgHi].N)
+	// An empty column has no row-groups: the range stays empty and the
+	// scan answers zero rows.
+	vecLo, vecHi := 0, 0
+	if len(sc.col.RowGroups) > 0 {
+		vecLo = rgLo * vector.RowGroupVectors
+		vecHi = rgHi*vector.RowGroupVectors + vector.VectorsIn(sc.col.RowGroups[rgHi].N)
+	}
 	if s.testHook != nil {
 		s.testHook()
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -49,9 +50,12 @@ func newTestServer(t *testing.T, opts Options) (*Server, *client.Client) {
 // TestEndToEndAggBitIdentical is the headline integration test: a
 // client ingests a dataset over HTTP, runs a pushdown FilterAgg via
 // /agg, and the result is bit-identical to the same predicate
-// evaluated in-process on the same values.
+// evaluated in-process on the same values — also when the request asks
+// for four scan threads, since ?threads= changes only speed.
 func TestEndToEndAggBitIdentical(t *testing.T) {
-	_, cl := newTestServer(t, Options{})
+	ts := httptest.NewServer(New(Options{}).Handler())
+	t.Cleanup(ts.Close)
+	cl := client.New(ts.URL)
 	ctx := context.Background()
 	values := dataset(2*102400+7777, 1) // 3 row-groups, ragged tail
 
@@ -69,16 +73,17 @@ func TestEndToEndAggBitIdentical(t *testing.T) {
 	cases := []struct {
 		name   string
 		remote client.Predicate
+		raw    string // the same predicate as query parameters
 		local  engine.Predicate
 	}{
-		{"between", client.Between(120, 180), engine.Between(120, 180)},
-		{"ge", client.GE(150.55), engine.GE(150.55)},
-		{"lt", client.LT(42.01), engine.LT(42.01)},
-		{"gt", client.GT(199.99), engine.GT(199.99)},
-		{"eq", client.EQ(values[12345]), engine.EQ(values[12345])},
-		{"all", client.All(), engine.Between(math.Inf(-1), math.Inf(1))},
-		{"empty", client.Between(5000, 6000), engine.Between(5000, 6000)},
-		{"and", client.GE(100).And(client.LE(150)), engine.Between(100, 150)},
+		{"between", client.Between(120, 180), "lo=120&hi=180", engine.Between(120, 180)},
+		{"ge", client.GE(150.55), "ge=150.55", engine.GE(150.55)},
+		{"lt", client.LT(42.01), "lt=42.01", engine.LT(42.01)},
+		{"gt", client.GT(199.99), "gt=199.99", engine.GT(199.99)},
+		{"eq", client.EQ(values[12345]), "eq=" + fmtFloat(values[12345]), engine.EQ(values[12345])},
+		{"all", client.All(), "", engine.Between(math.Inf(-1), math.Inf(1))},
+		{"empty", client.Between(5000, 6000), "lo=5000&hi=6000", engine.Between(5000, 6000)},
+		{"and", client.GE(100).And(client.LE(150)), "ge=100&le=150", engine.Between(100, 150)},
 	}
 	rel := engine.BuildALP(values)
 	for _, tc := range cases {
@@ -113,7 +118,35 @@ func TestEndToEndAggBitIdentical(t *testing.T) {
 			if n != want.Count {
 				t.Errorf("count endpoint = %d, want %d", n, want.Count)
 			}
+
+			// Four scan threads give the same bits.
+			q := "threads=4"
+			if tc.raw != "" {
+				q = tc.raw + "&" + q
+			}
+			var par aggResponse
+			getJSON(t, ts.URL+"/v1/columns/prices/agg?"+q, &par)
+			if par.Threads != 4 || par.Count != want.Count || par.Touched != wantTouched ||
+				par.Sum != fmtFloat(want.Sum) || par.Min != fmtFloat(want.Min) || par.Max != fmtFloat(want.Max) {
+				t.Errorf("threads=4 agg = %+v, want %+v", par, want)
+			}
 		})
+	}
+}
+
+// getJSON GETs url and decodes its 200 JSON body into v.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package alp
 
 import (
+	"math"
 	"testing"
 )
 
@@ -92,32 +93,7 @@ func TestEncodeObsOverheadGuard(t *testing.T) {
 		t.Skip("timing assertion skipped with -short")
 	}
 	values := benchEncodeValues()
-
-	measure := func() float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				benchSink = Encode(values)
-			}
-		})
-		return float64(r.NsPerOp())
-	}
-
-	// Interleave and keep the fastest of 3 runs per mode to shrink
-	// scheduler noise.
-	best := func(fn func() float64) float64 {
-		m := fn()
-		for i := 0; i < 2; i++ {
-			if v := fn(); v < m {
-				m = v
-			}
-		}
-		return m
-	}
-	DisableStats()
-	off := best(measure)
-	EnableStats()
-	on := best(measure)
-	DisableStats()
+	off, on := obsOverhead(func() { benchSink = Encode(values) })
 
 	if ratio := on / off; ratio > 1.15 {
 		t.Fatalf("enabled-collector overhead %.1f%% exceeds 15%% guard (off %.0f ns/op, on %.0f ns/op)",
@@ -139,29 +115,7 @@ func TestFilterObsOverheadGuard(t *testing.T) {
 		t.Skip("timing assertion skipped with -short")
 	}
 	col := benchFilterColumn()
-
-	measure := func() float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				col.AggRange(benchFilterLo, benchFilterHi)
-			}
-		})
-		return float64(r.NsPerOp())
-	}
-	best := func(fn func() float64) float64 {
-		m := fn()
-		for i := 0; i < 2; i++ {
-			if v := fn(); v < m {
-				m = v
-			}
-		}
-		return m
-	}
-	DisableStats()
-	off := best(measure)
-	EnableStats()
-	on := best(measure)
-	DisableStats()
+	off, on := obsOverhead(func() { col.AggRange(benchFilterLo, benchFilterHi) })
 
 	// Measured steady-state cost is ~3% (sampled clock reads plus one
 	// atomic tick per kernel; the per-vector counters flush batched per
@@ -174,4 +128,28 @@ func TestFilterObsOverheadGuard(t *testing.T) {
 	} else {
 		t.Logf("histogram overhead: %.2f%% (off %.0f ns/op, on %.0f ns/op)", 100*(ratio-1), off, on)
 	}
+}
+
+// obsOverhead times op with the collector off and on for the overhead
+// guards. The modes alternate off, on, off, on, off, on and each keeps
+// its fastest run, so a burst of host noise lands on both modes rather
+// than on whichever one happened to run during it.
+func obsOverhead(op func()) (off, on float64) {
+	measure := func() float64 {
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+		return float64(r.NsPerOp())
+	}
+	off, on = math.Inf(1), math.Inf(1)
+	for i := 0; i < 3; i++ {
+		DisableStats()
+		off = math.Min(off, measure())
+		EnableStats()
+		on = math.Min(on, measure())
+	}
+	DisableStats()
+	return off, on
 }
