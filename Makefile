@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-snapshot bench-module fuzz-smoke serve-smoke server-race mon-smoke cluster-race lint gauntlet gauntlet-check check clean
+.PHONY: all build vet test race bench-smoke bench-snapshot bench-module fuzz-smoke serve-smoke server-race mon-smoke cluster-race cluster-smoke lint gauntlet gauntlet-check check clean
 
 all: check
 
@@ -73,6 +73,14 @@ serve-smoke:
 mon-smoke:
 	$(GO) test -run TestMonSmoke -count=1 -v ./cmd/alpserved
 
+# End-to-end smoke of the cluster: build the real alpserved and
+# alpclusterd binaries, boot two backends and a coordinator on
+# ephemeral ports, run ingest -> agg (bit-identical to the in-process
+# engine) -> scan through the typed client, check the coordinator
+# echoes a request ID, then SIGTERM it and verify the graceful drain.
+cluster-smoke:
+	$(GO) test -run TestClusterSmoke -count=1 -v ./cmd/alpclusterd
+
 # Static analysis beyond vet: staticcheck and govulncheck when the
 # tools are installed, skipped with a notice otherwise (the CI lint job
 # installs them; local runs shouldn't fail on a missing binary).
@@ -127,7 +135,7 @@ gauntlet-check:
 	$(GO) run ./cmd/alpgauntlet -check BENCH_gauntlet.json
 
 # The full PR gate, mirrored by .github/workflows/ci.yml.
-check: vet build test race bench-smoke bench-module serve-smoke mon-smoke server-race cluster-race fuzz-smoke
+check: vet build test race bench-smoke bench-module serve-smoke mon-smoke server-race cluster-race cluster-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

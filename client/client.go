@@ -55,8 +55,10 @@ type Client struct {
 
 // RequestIDHeader is the header carrying the request ID the client
 // attaches to every attempt of a call (all retries of one call share
-// an ID, so server-side access-log lines correlate). The server echoes
-// the effective ID back on the response.
+// an ID, so server-side access-log lines correlate). A call made with
+// a context that carries a served request's trace reuses that
+// request's ID. The server echoes the effective ID back on the
+// response.
 const RequestIDHeader = "X-Alp-Request-Id"
 
 // Stats is a point-in-time snapshot of the client's retry behavior —
@@ -166,7 +168,13 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		u += "?" + query.Encode()
 	}
 	c.calls.Add(1)
+	// A call made while serving a traced request (a coordinator's
+	// backend call) carries that request's ID, so every process it
+	// crosses logs it under one ID.
 	reqID := obs.NewRequestID()
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		reqID = tr.ID
+	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		c.attempts.Add(1)

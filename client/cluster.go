@@ -40,29 +40,7 @@ type aggPartialWire struct {
 // internal packages).
 const CompressedContentType = "application/x-alp-column"
 
-// predicateKeys are the query parameters the server's predicate parser
-// reads, in canonical order.
-var predicateKeys = [...]string{"lo", "ge", "gt", "hi", "le", "lt", "eq"}
-
-// RawPredicate wraps already-encoded predicate query parameters
-// verbatim. A proxy or coordinator forwarding a query to backends uses
-// this to re-emit the exact strings it received — no parse/re-format
-// round-trip, so the number literals the backends parse are
-// byte-identical to the ones the caller sent. Every value of a repeated
-// key is kept, because repeated keys intersect (Predicate.And).
-func RawPredicate(q url.Values) Predicate {
-	p := Predicate{params: url.Values{}}
-	for _, k := range predicateKeys {
-		for _, v := range q[k] {
-			if v != "" {
-				p.params.Add(k, v)
-			}
-		}
-	}
-	return p
-}
-
-// rgQuery appends the optional row-group list/range parameters.
+// rgList appends the optional ?rgs= row-group list.
 func rgList(q url.Values, rgs []int) url.Values {
 	if len(rgs) == 0 {
 		return q

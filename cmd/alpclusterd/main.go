@@ -1,8 +1,11 @@
 // Command alpclusterd fronts N alpserved backends with the
-// scatter-gather coordinator (internal/cluster): it serves the same
-// /v1/columns HTTP surface as a single alpserved — ingest, filtered
-// agg/count/scan pushdown, compressed export — while hash-partitioning
-// each column's row-groups across the backends with R-way replication.
+// scatter-gather coordinator (internal/cluster), mounted behind the
+// same HTTP shell as alpserved (internal/server): it serves the same
+// /v1/columns surface — ingest, filtered agg/count/scan pushdown,
+// partials, ranged scans and exports — with the same admission
+// shedding, drain, request IDs and /metrics.prom, while
+// hash-partitioning each column's row-groups across the backends with
+// R-way replication.
 // Results are bit-identical to a single node at any shard count;
 // backends are health-probed and circuit-broken, replicated reads fail
 // over, and a query that loses every replica of a row-group degrades
@@ -16,12 +19,14 @@
 //	alpclusterd -addr :8090 -backends ... -replicas 2 -probe-interval 2s
 //
 // The listen address is printed as "alpclusterd: listening on ADDR"
-// once the socket is bound. SIGINT/SIGTERM shut the coordinator down;
-// the backends own the data and keep running.
+// once the socket is bound. SIGINT/SIGTERM drain the coordinator
+// (in-flight requests complete within 10s, new ones get 503), then
+// close the listener; the backends own the data and keep running.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -35,6 +40,7 @@ import (
 	"github.com/goalp/alp"
 	"github.com/goalp/alp/client"
 	"github.com/goalp/alp/internal/cluster"
+	"github.com/goalp/alp/internal/server"
 )
 
 func main() {
@@ -44,7 +50,7 @@ func main() {
 		replicas = flag.Int("replicas", 1, "replicas per row-group (clamped to the backend count)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request deadline")
 		maxBody  = flag.Int64("max-body", 1<<30, "ingest body cap in bytes")
-		workers  = flag.Int("encode-workers", 0, "row-group encode workers per ingest (0 = one per CPU)")
+		workers  = flag.Int("encode-workers", 0, "row-group encode workers per raw ingest (0 = one per CPU)")
 		scanConc = flag.Int("scan-concurrency", 4, "scan runs fetched concurrently (emission stays ordered)")
 		probeInt = flag.Duration("probe-interval", 2*time.Second, "backend /readyz probe period (0 disables probing)")
 		breakAt  = flag.Int("breaker-threshold", 3, "consecutive failures that open a backend's circuit breaker")
@@ -72,7 +78,6 @@ func main() {
 
 	co := cluster.New(clean, cluster.Options{
 		Replicas:        *replicas,
-		EncodeWorkers:   *workers,
 		ScanConcurrency: *scanConc,
 		Pool: client.PoolOptions{
 			FailureThreshold: *breakAt,
@@ -86,9 +91,10 @@ func main() {
 		co.Pool().StartProbes(*probeInt)
 	}
 
-	srv := cluster.NewServer(co, cluster.ServerOptions{
+	srv := cluster.NewServer(co, server.Options{
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
+		IngestWorkers:  *workers,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -118,10 +124,15 @@ func main() {
 	case <-ctx.Done():
 	}
 
-	fmt.Fprintln(os.Stderr, "alpclusterd: shutting down")
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	fmt.Fprintln(os.Stderr, "alpclusterd: draining")
+	drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
+	// Drain the shell first (in-flight requests complete, new ones get
+	// 503), then close the listener and idle connections.
+	if err := srv.Shutdown(drainCtx); err != nil {
+		fmt.Fprintln(os.Stderr, "alpclusterd: drain:", err)
+	}
+	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintln(os.Stderr, "alpclusterd: shutdown:", err)
 	}
 	fmt.Fprintln(os.Stderr, "alpclusterd: stopped")

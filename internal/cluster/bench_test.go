@@ -6,8 +6,9 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"github.com/goalp/alp/client"
 	"github.com/goalp/alp/internal/cluster"
+	"github.com/goalp/alp/internal/engine"
+	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/server"
 )
 
@@ -25,7 +26,8 @@ func BenchmarkAggClustered(b *testing.B) {
 	for i := range values {
 		values[i] = float64((i*7919)%100000) / 100
 	}
-	pred := client.Between(250, 749.995)
+	stream := format.EncodeColumn(values).Marshal()
+	pred := engine.Between(250, 749.995)
 	ctx := context.Background()
 
 	for _, shards := range []int{1, 2, 4} {
@@ -43,13 +45,13 @@ func BenchmarkAggClustered(b *testing.B) {
 			}()
 			co := cluster.New(urls, cluster.Options{})
 			defer co.Close()
-			if _, err := co.Ingest(ctx, "bench", values); err != nil {
+			if _, err := co.Put(ctx, "bench", stream); err != nil {
 				b.Fatalf("ingest: %v", err)
 			}
 
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := co.Agg(ctx, "bench", pred); err != nil {
+				if _, err := coAgg(ctx, co, "bench", pred); err != nil {
 					b.Fatalf("agg: %v", err)
 				}
 			}

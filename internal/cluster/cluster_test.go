@@ -67,9 +67,20 @@ func newCluster(t *testing.T, urls []string, replicas int, copts ...func(*cluste
 	co := cluster.New(urls, opts)
 	t.Cleanup(co.Close)
 	co.Pool().Probe(context.Background())
-	ts := httptest.NewServer(cluster.NewServer(co, cluster.ServerOptions{}).Handler())
+	ts := httptest.NewServer(cluster.NewServer(co, server.Options{}).Handler())
 	t.Cleanup(ts.Close)
 	return co, client.New(ts.URL)
+}
+
+// coAgg runs a filtered aggregate on the coordinator in process: its
+// partials merged in row-group order, as the shell's /agg does.
+func coAgg(ctx context.Context, co *cluster.Coordinator, name string, p engine.Predicate) (engine.Agg, error) {
+	c, err := co.Column(ctx, name)
+	if err != nil {
+		return engine.Agg{}, err
+	}
+	parts, _, err := c.AggPartials(ctx, p, 1, nil)
+	return engine.MergeAggs(parts), err
 }
 
 // dataset synthesizes a decimal-heavy multi-row-group column.
@@ -336,7 +347,7 @@ func TestKilledBackendTypedError(t *testing.T) {
 	}
 
 	// The coordinator API surfaces the same condition as a typed error.
-	if _, err := co.Agg(ctx, name, client.GE(100)); !cluster.IsPartialUnavailable(err) {
+	if _, err := coAgg(ctx, co, name, engine.GE(100)); !cluster.IsPartialUnavailable(err) {
 		t.Fatalf("coordinator agg error is not PartialUnavailableError: %v", err)
 	}
 }
@@ -443,13 +454,13 @@ func TestHungBackendFailsOver(t *testing.T) {
 		// The hung proxy must actually serve some row-groups of the
 		// test column; its shards land on the real backend behind it.
 		name := ingestOn(t, ctx, cl, client.New(bs.urls[2]), fmt.Sprintf("h%d", replicas), values)
-		want, err := co.Agg(ctx, name, client.GE(100))
+		want, err := coAgg(ctx, co, name, engine.GE(100))
 		if err != nil {
 			t.Fatalf("replicas=%d: baseline agg: %v", replicas, err)
 		}
 
 		hp.armed.Store(true)
-		agg, err := co.Agg(ctx, name, client.GE(100))
+		agg, err := coAgg(ctx, co, name, engine.GE(100))
 		if replicas == 1 {
 			if !cluster.IsPartialUnavailable(err) {
 				t.Fatalf("replicas=1: hung backend did not yield the typed refusal: %v", err)
@@ -574,5 +585,38 @@ func TestClusterMetricsSurface(t *testing.T) {
 	}
 	if _, ok := m["lat_cluster_scatter_count"]; !ok {
 		t.Fatal("cluster scatter histogram missing from /metrics")
+	}
+}
+
+// TestRebalanceErrorStatuses: an error in the rebalance request itself
+// is a 400, but a backend failing the move is a 5xx, which a client may
+// retry.
+func TestRebalanceErrorStatuses(t *testing.T) {
+	ctx := context.Background()
+	bs := newBackends(t, 3)
+	co, cl := newCluster(t, bs.urls, 1)
+	ts := httptest.NewServer(cluster.NewServer(co, server.Options{}).Handler())
+	defer ts.Close()
+	name := ingestOn(t, ctx, cl, client.New(bs.urls[0]), "e", dataset(3*vector.RowGroupSize, 35))
+
+	rebalance := func(from, to string) int {
+		t.Helper()
+		body := fmt.Sprintf(`{"column":%q,"from":%q,"to":%q,"rg_lo":0,"rg_hi":2}`, name, from, to)
+		resp, err := http.Post(ts.URL+"/v1/cluster/rebalance", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := rebalance(bs.urls[0], bs.urls[0]); got != http.StatusBadRequest {
+		t.Errorf("same-backend rebalance: status %d, want 400", got)
+	}
+	if got := rebalance(bs.urls[0], "http://no-such-backend"); got != http.StatusBadRequest {
+		t.Errorf("unknown-backend rebalance: status %d, want 400", got)
+	}
+	bs.servers[1].Close()
+	if got := rebalance(bs.urls[0], bs.urls[1]); got < 500 {
+		t.Errorf("rebalance onto a dead backend: status %d, want 5xx", got)
 	}
 }

@@ -1,20 +1,24 @@
-// The scatter-gather coordinator: one logical alpserved surface over N
-// sharded backends. Columns are split at row-group boundaries — the
-// format's unit of self-contained encoding — and each row-group is
-// placed on R backends by the rendezvous map. Queries fan out over the
-// health-checked pool, fetch per-row-group partials from the first
-// healthy replica of each row-group (deterministic rank tiebreak), and
-// merge in global row-group order, so every clustered result is
-// bit-identical to the single-node answer regardless of shard count or
-// which replica served. A row-group with no answering replica fails
-// the whole query with a typed PartialUnavailableError — the
-// coordinator never returns a silent partial.
+// The scatter-gather coordinator: one logical column service over N
+// sharded alpserved backends, mounted behind the same HTTP shell as
+// alpserved (it implements server.Service). Columns are split at
+// row-group boundaries — the format's unit of self-contained encoding —
+// and each row-group is placed on R backends by the rendezvous map.
+// Queries fan out over the health-checked pool and fetch per-row-group
+// partials from the first healthy replica of each row-group
+// (deterministic rank tiebreak); the shell merges them in global
+// row-group order, so every clustered result is bit-identical to the
+// single-node answer regardless of shard count or which replica
+// served. A row-group with no answering replica fails the whole query
+// with a typed PartialUnavailableError — the coordinator never returns
+// a silent partial.
 package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,6 +28,7 @@ import (
 	"github.com/goalp/alp/internal/engine"
 	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/obs"
+	"github.com/goalp/alp/internal/server"
 )
 
 // Options configures a Coordinator.
@@ -31,8 +36,6 @@ type Options struct {
 	// Replicas is R, the ranked replicas per row-group (clamped to
 	// [1, number of backends]).
 	Replicas int
-	// EncodeWorkers bounds the parallel encode on ingest. 0 means 1.
-	EncodeWorkers int
 	// ScanConcurrency bounds how many scan runs are fetched at once
 	// while emission stays in order. 0 means 4.
 	ScanConcurrency int
@@ -46,7 +49,7 @@ type Options struct {
 // against one consistent placement end to end.
 type colState struct {
 	name  string
-	info  client.ColumnInfo // single-node-equivalent shape
+	info  server.ColumnInfo // single-node-equivalent shape
 	epoch uint64            // map epoch this placement was published under
 	numRG int
 
@@ -95,9 +98,6 @@ type Coordinator struct {
 
 // New builds a coordinator over the given backend base URLs.
 func New(backends []string, opts Options) *Coordinator {
-	if opts.EncodeWorkers < 1 {
-		opts.EncodeWorkers = 1
-	}
 	if opts.ScanConcurrency < 1 {
 		opts.ScanConcurrency = 4
 	}
@@ -147,9 +147,7 @@ func (c *Coordinator) publish(name string, st *colState) {
 	c.cols.Store(&next)
 }
 
-// List returns the coordinator's column names, sorted.
-func (c *Coordinator) List() []string {
-	cols := *c.cols.Load()
+func sortedNames(cols map[string]*colState) []string {
 	names := make([]string, 0, len(cols))
 	for k := range cols {
 		names = append(names, k)
@@ -158,33 +156,55 @@ func (c *Coordinator) List() []string {
 	return names
 }
 
-// Info returns the single-node-equivalent shape of a clustered column.
-func (c *Coordinator) Info(name string) (client.ColumnInfo, error) {
+// Names returns the coordinator's column names, sorted.
+func (c *Coordinator) Names() []string { return sortedNames(*c.cols.Load()) }
+
+// Column returns the handle one request queries a clustered column
+// through: the placement current at lookup, used for the whole request.
+func (c *Coordinator) Column(_ context.Context, name string) (server.Column, error) {
 	st, err := c.col(name)
 	if err != nil {
-		return client.ColumnInfo{}, err
+		return nil, err
 	}
-	return st.info, nil
+	return &column{c: c, st: st}, nil
+}
+
+// MetricsExtras are the coordinator's /metrics keys: the map epoch,
+// per-backend pool/breaker/retry stats and per-backend call-latency
+// histograms (backend<i>_lat_*) — the per-shard observability the
+// fan-out counters summarize.
+func (c *Coordinator) MetricsExtras() []obs.Extra {
+	extras := []obs.Extra{
+		{Name: "cluster_epoch", JSON: strconv.FormatUint(c.Map().Epoch, 10)},
+		{Name: "cluster_columns", JSON: strconv.Itoa(len(*c.cols.Load()))},
+	}
+	if bs, err := json.Marshal(c.pool.Stats()); err == nil {
+		extras = append(extras, obs.Extra{Name: "cluster_backends", JSON: string(bs)})
+	}
+	for i, h := range c.backendHists {
+		for _, mt := range h.Snapshot().Flats(fmt.Sprintf("backend%d_lat", i)) {
+			extras = append(extras, obs.Extra{Name: mt.Name, JSON: strconv.FormatInt(mt.Value, 10)})
+		}
+	}
+	return extras
 }
 
 // ---- ingest ----
 
-// Ingest encodes values once, splits the column at row-group
-// boundaries per the partition map, and ships each backend its
-// sub-column as compressed bytes (no backend re-encodes). The ingest
-// is all-or-nothing: any backend failure unwinds the partial writes
-// and leaves the previous generation (if any) untouched.
-func (c *Coordinator) Ingest(ctx context.Context, name string, values []float64) (client.ColumnInfo, error) {
+// Put splits a marshaled column at row-group boundaries per the
+// partition map and ships each backend its sub-column as compressed
+// bytes: no backend re-encodes. The ingest is all-or-nothing: any
+// backend failure unwinds the partial writes and leaves the previous
+// generation (if any) untouched.
+func (c *Coordinator) Put(ctx context.Context, name string, stream []byte) (server.ColumnInfo, error) {
 	if strings.Contains(name, "@") {
-		return client.ColumnInfo{}, fmt.Errorf("column name %q: %q is reserved for shard generations", name, "@")
+		return server.ColumnInfo{}, fmt.Errorf("%w: column name %q: %q is reserved for shard generations", server.ErrBadRequest, name, "@")
 	}
-	col := format.EncodeColumnParallel(values, c.opts.EncodeWorkers)
-	return c.IngestColumn(ctx, name, col, col.Marshal())
-}
+	col, err := format.Unmarshal(stream)
+	if err != nil {
+		return server.ColumnInfo{}, fmt.Errorf("%w: compressed stream: %w", server.ErrBadRequest, err)
+	}
 
-// IngestColumn shards an already-encoded column (full is its Marshal
-// output) — the re-frame path for compressed ingest into the cluster.
-func (c *Coordinator) IngestColumn(ctx context.Context, name string, col *format.Column, full []byte) (client.ColumnInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -215,16 +235,15 @@ func (c *Coordinator) IngestColumn(ctx context.Context, name string, col *format
 		gens:     gens,
 		replicas: replicas,
 		assigned: assigned,
-		info: client.ColumnInfo{
-			Name:            name,
+		info: server.ColumnInfo{Name: name, ColumnStats: server.ColumnStats{
 			Values:          col.N,
 			NumVectors:      col.NumVectors(),
 			NumRowGroups:    numRG,
-			CompressedBytes: len(full),
+			CompressedBytes: len(stream),
 			BitsPerValue:    col.BitsPerValue(),
 			Exceptions:      col.Exceptions(),
 			UsedRD:          col.UsedRD(),
-		},
+		}},
 	}
 
 	// Build and ship every backend's sub-column concurrently. Stitching
@@ -243,7 +262,7 @@ func (c *Coordinator) IngestColumn(ctx context.Context, name string, col *format
 		}
 		sub, err := format.StitchColumns(refs)
 		if err != nil {
-			return client.ColumnInfo{}, fmt.Errorf("stitching shard for %s: %w", m.Backends[b].URL, err)
+			return server.ColumnInfo{}, fmt.Errorf("stitching shard for %s: %w", m.Backends[b].URL, err)
 		}
 		data := sub.Marshal()
 		wg.Add(1)
@@ -261,7 +280,7 @@ func (c *Coordinator) IngestColumn(ctx context.Context, name string, col *format
 			// Unwind this generation's writes; the previous state (if
 			// any) is untouched and stays published.
 			c.deleteShards(context.Background(), st, nil)
-			return client.ColumnInfo{}, fmt.Errorf("ingest to %s: %w", m.Backends[b].URL, err)
+			return server.ColumnInfo{}, fmt.Errorf("ingest to %s: %w", m.Backends[b].URL, err)
 		}
 	}
 
@@ -299,17 +318,17 @@ func (c *Coordinator) deleteShards(ctx context.Context, st *colState, only []int
 }
 
 // Delete removes a clustered column from every backend (best effort)
-// and from the coordinator. Reports whether the column existed.
-func (c *Coordinator) Delete(ctx context.Context, name string) bool {
+// and from the coordinator.
+func (c *Coordinator) Delete(ctx context.Context, name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st, err := c.col(name)
 	if err != nil {
-		return false
+		return err
 	}
 	c.publish(name, nil)
 	c.deleteShards(ctx, st, nil)
-	return true
+	return nil
 }
 
 // ---- scatter planning ----
@@ -440,31 +459,52 @@ func (c *Coordinator) scatterRGs(ctx context.Context, st *colState, need []int, 
 	return nil
 }
 
-func allRGs(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
+// rgSpan lists the global row-groups lo..hi, ascending (empty when
+// hi < lo, as for a column with no row-groups).
+func rgSpan(lo, hi int) []int {
+	out := make([]int, 0, max(0, hi-lo+1))
+	for g := lo; g <= hi; g++ {
+		out = append(out, g)
 	}
 	return out
 }
 
 // ---- queries ----
 
-// Agg runs the filtered aggregate across the cluster: per-row-group
-// partials fetched from each row-group's first healthy replica, merged
-// in global row-group order (engine.MergeAggs — the fold order DESIGN.md
-// pins), so the result is bit-identical to single-node at any shard
-// count and under any failover.
-func (c *Coordinator) Agg(ctx context.Context, name string, p client.Predicate) (client.Agg, error) {
-	st, err := c.col(name)
-	if err != nil {
-		return client.Agg{}, err
+// column is the Coordinator's server.Column: one placement snapshot
+// queried by one request. Predicates go to the backends as the closed
+// interval the shell parsed — client.Between with shortest 'g'
+// formatting round-trips every bound, ±Inf, -0 and NaN included — and
+// the request's threads hint is not forwarded.
+type column struct {
+	c  *Coordinator
+	st *colState
+}
+
+func (h *column) Info() server.ColumnInfo { return h.st.info }
+
+// need is the row-group list a partials query answers for: rgs, or
+// every row-group when rgs is nil.
+func (h *column) need(rgs []int) []int {
+	if rgs == nil {
+		return rgSpan(0, h.st.numRG-1)
 	}
+	return rgs
+}
+
+// AggPartials fetches each needed row-group's partial from its first
+// healthy replica and returns them in rgs order; the shell merges them
+// in row-group order (engine.MergeAggs — the fold order DESIGN.md pins),
+// so the result is bit-identical to single-node at any shard count and
+// under any failover.
+func (h *column) AggPartials(ctx context.Context, p engine.Predicate, _ int, rgs []int) ([]engine.Agg, int, error) {
 	start := time.Now()
-	parts := make([]engine.Agg, st.numRG)
+	need := h.need(rgs)
+	cp := client.Between(p.Lo, p.Hi)
+	parts := make([]engine.Agg, h.st.numRG)
 	var touched atomic.Int64
-	err = c.scatterRGs(ctx, st, allRGs(st.numRG), func(ctx context.Context, cl *client.Client, _ int, colName string, locals, globals []int) error {
-		got, t, err := cl.AggPartials(ctx, colName, p, locals)
+	err := h.c.scatterRGs(ctx, h.st, need, func(ctx context.Context, cl *client.Client, _ int, colName string, locals, globals []int) error {
+		got, t, err := cl.AggPartials(ctx, colName, cp, locals)
 		if err != nil {
 			return err
 		}
@@ -478,30 +518,20 @@ func (c *Coordinator) Agg(ctx context.Context, name string, p client.Predicate) 
 		return nil
 	})
 	if err != nil {
-		return client.Agg{}, err
+		return nil, 0, err
 	}
-	merged := engine.MergeAggs(parts)
 	obs.Active().Observe(obs.HistClusterScatter, time.Since(start).Nanoseconds())
-	return client.Agg{
-		Sum:     merged.Sum,
-		Count:   merged.Count,
-		Min:     merged.Min,
-		Max:     merged.Max,
-		Touched: int(touched.Load()),
-	}, nil
+	return inOrder(parts, need), int(touched.Load()), nil
 }
 
-// Count runs the filtered count across the cluster. COUNT is exactly
-// associative, so the merge is a plain sum in global row-group order.
-func (c *Coordinator) Count(ctx context.Context, name string, p client.Predicate) (int64, error) {
-	st, err := c.col(name)
-	if err != nil {
-		return 0, err
-	}
+// CountPartials is AggPartials for COUNT(*).
+func (h *column) CountPartials(ctx context.Context, p engine.Predicate, _ int, rgs []int) ([]int64, error) {
 	start := time.Now()
-	counts := make([]int64, st.numRG)
-	err = c.scatterRGs(ctx, st, allRGs(st.numRG), func(ctx context.Context, cl *client.Client, _ int, colName string, locals, globals []int) error {
-		got, err := cl.CountPartials(ctx, colName, p, locals)
+	need := h.need(rgs)
+	cp := client.Between(p.Lo, p.Hi)
+	counts := make([]int64, h.st.numRG)
+	err := h.c.scatterRGs(ctx, h.st, need, func(ctx context.Context, cl *client.Client, _ int, colName string, locals, globals []int) error {
+		got, err := cl.CountPartials(ctx, colName, cp, locals)
 		if err != nil {
 			return err
 		}
@@ -514,31 +544,35 @@ func (c *Coordinator) Count(ctx context.Context, name string, p client.Predicate
 		return nil
 	})
 	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	obs.Active().Observe(obs.HistClusterScatter, time.Since(start).Nanoseconds())
-	return total, nil
-}
-
-// Data reassembles the full compressed column: every row-group's
-// sub-column bytes fetched from a replica, unmarshaled, and stitched
-// in global order. Because row-groups marshal byte-identically inside
-// any standalone column, the stitched stream is bit-identical to the
-// single-node Marshal of the original ingest.
-func (c *Coordinator) Data(ctx context.Context, name string) ([]byte, error) {
-	st, err := c.col(name)
-	if err != nil {
 		return nil, err
 	}
+	obs.Active().Observe(obs.HistClusterScatter, time.Since(start).Nanoseconds())
+	return inOrder(counts, need), nil
+}
+
+// inOrder picks the per-row-group results byRG[g] for g in need.
+func inOrder[T any](byRG []T, need []int) []T {
+	out := make([]T, len(need))
+	for i, g := range need {
+		out[i] = byRG[g]
+	}
+	return out
+}
+
+// Data reassembles row-groups [rgLo, rgHi]: each row-group's
+// sub-column bytes fetched from a replica, unmarshaled, and stitched in
+// global order — format.SliceColumn over the range. Because row-groups
+// marshal byte-identically inside any standalone column, the stitched
+// stream is bit-identical to what a single alpserved exports for the
+// same range, and for the whole column to the Marshal of the original
+// ingest.
+func (h *column) Data(ctx context.Context, rgLo, rgHi int, _ bool) ([]byte, error) {
+	c, st := h.c, h.st
 	start := time.Now()
 	subCols := make([]*format.Column, c.pool.Len())
 	refs := make([]format.RowGroupRef, st.numRG)
 	var mu sync.Mutex
-	err = c.scatterRGs(ctx, st, allRGs(st.numRG), func(ctx context.Context, cl *client.Client, b int, colName string, locals, globals []int) error {
+	err := c.scatterRGs(ctx, st, rgSpan(rgLo, rgHi), func(ctx context.Context, cl *client.Client, b int, colName string, locals, globals []int) error {
 		mu.Lock()
 		sub := subCols[b]
 		mu.Unlock()
@@ -565,7 +599,7 @@ func (c *Coordinator) Data(ctx context.Context, name string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	col, err := format.StitchColumns(refs)
+	col, err := format.StitchColumns(refs[rgLo : rgHi+1])
 	if err != nil {
 		return nil, err
 	}

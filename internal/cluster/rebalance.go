@@ -17,6 +17,7 @@ import (
 	"github.com/goalp/alp/client"
 	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/obs"
+	"github.com/goalp/alp/internal/server"
 )
 
 // RebalanceResult describes one completed move.
@@ -36,7 +37,7 @@ func (c *Coordinator) backendIndex(urlOrID string) (int, error) {
 			return i, nil
 		}
 	}
-	return 0, fmt.Errorf("no backend %q in the partition map", urlOrID)
+	return 0, fmt.Errorf("%w: no backend %q in the partition map", server.ErrBadRequest, urlOrID)
 }
 
 // Rebalance moves the row-groups of name in the global range
@@ -44,7 +45,10 @@ func (c *Coordinator) backendIndex(urlOrID string) (int, error) {
 // already replicates). Data moves as compressed bytes via the ranged
 // /data export and compressed ingest; placement updates keep each
 // moved row-group's replica rank, so the deterministic first-healthy
-// choice is preserved under the new epoch.
+// choice is preserved under the new epoch. An error in the request
+// itself — unknown backend, same backend, range out of bounds, nothing
+// to move — wraps server.ErrBadRequest; a backend failing the export
+// or the staging does not, so the shell answers it with a 5xx.
 func (c *Coordinator) Rebalance(ctx context.Context, name, from, to string, rgLo, rgHi int) (RebalanceResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -62,10 +66,10 @@ func (c *Coordinator) Rebalance(ctx context.Context, name, from, to string, rgLo
 		return RebalanceResult{}, err
 	}
 	if fb == tb {
-		return RebalanceResult{}, fmt.Errorf("from and to are the same backend")
+		return RebalanceResult{}, fmt.Errorf("%w: from and to are the same backend", server.ErrBadRequest)
 	}
 	if rgLo < 0 || rgHi < rgLo || rgHi >= st.numRG {
-		return RebalanceResult{}, fmt.Errorf("row-group range [%d, %d] out of [0, %d)", rgLo, rgHi, st.numRG)
+		return RebalanceResult{}, fmt.Errorf("%w: row-group range [%d, %d] out of [0, %d)", server.ErrBadRequest, rgLo, rgHi, st.numRG)
 	}
 
 	// moved: the row-groups from stores in range that to does not
@@ -81,7 +85,7 @@ func (c *Coordinator) Rebalance(ctx context.Context, name, from, to string, rgLo
 		moved = append(moved, g)
 	}
 	if len(moved) == 0 {
-		return RebalanceResult{}, fmt.Errorf("backend %s stores no movable row-groups in [%d, %d]", from, rgLo, rgHi)
+		return RebalanceResult{}, fmt.Errorf("%w: backend %s stores no movable row-groups in [%d, %d]", server.ErrBadRequest, from, rgLo, rgHi)
 	}
 
 	// Fetch both backends' current sub-columns (compressed, whole).

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"github.com/goalp/alp/client"
+	"github.com/goalp/alp/internal/engine"
 	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/obs"
 )
@@ -117,28 +118,27 @@ func stripScanHeader(payload []byte) ([]byte, error) {
 	return payload[len(scanHeader):], nil
 }
 
-// Scan streams the clustered scan of name under p into w, in global
-// row-group order. compressed selects the ALPS selection-aware
-// encoding (the coordinator writes one stream header and splices the
-// backends' frames); raw float64s concatenate as-is. Runs are fetched
-// with bounded concurrency but emitted strictly in order. The returned
-// emitted flag tells the caller whether any bytes hit w before an
-// error — an error after first emit can only be surfaced by aborting
-// the connection, never by a silently short stream.
-func (c *Coordinator) Scan(ctx context.Context, name string, p client.Predicate, compressed bool, w io.Writer) (rows int, emitted bool, err error) {
-	st, err := c.col(name)
-	if err != nil {
-		return 0, false, err
-	}
+// Scan streams the clustered scan of row-groups [rgLo, rgHi] under p
+// into w, in global row-group order. compressed selects the ALPS
+// selection-aware encoding (the coordinator writes one stream header
+// and splices the backends' frames); raw float64s concatenate as-is.
+// Runs are fetched with bounded concurrency but emitted strictly in
+// order, and nothing — the ALPS header included — is written before
+// the first run has answered, so a scan that fails there is still a
+// clean error status. Waiting on runs is timed as the engine span and
+// writing as the write span, like a local scan.
+func (h *column) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi int, compressed bool, w io.Writer) (int, error) {
+	c, st := h.c, h.st
 	o := obs.Active()
+	tr := obs.TraceFrom(ctx)
 	start := time.Now()
 	excluded := make([]bool, c.pool.Len())
 	var exMu sync.Mutex
 
-	runs, missing := c.planRuns(st, allRGs(st.numRG), excluded)
+	runs, missing := c.planRuns(st, rgSpan(rgLo, rgHi), excluded)
 	if len(missing) > 0 {
 		o.ClusterPartialUnavailable()
-		return 0, false, &PartialUnavailableError{Col: st.name, MissingRowGroups: missing}
+		return 0, &PartialUnavailableError{Col: st.name, MissingRowGroups: missing}
 	}
 	fanout := map[int]bool{}
 	for _, r := range runs {
@@ -151,6 +151,7 @@ func (c *Coordinator) Scan(ctx context.Context, name string, p client.Predicate,
 		rows    int
 		err     error
 	}
+	cp := client.Between(p.Lo, p.Hi)
 	results := make([]result, len(runs))
 	done := make([]chan struct{}, len(runs))
 	for i := range done {
@@ -162,41 +163,47 @@ func (c *Coordinator) Scan(ctx context.Context, name string, p client.Predicate,
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			defer close(done[i])
-			payload, n, err := c.fetchRun(ctx, st, p, compressed, runs[i], excluded, &exMu)
+			payload, n, err := c.fetchRun(ctx, st, cp, compressed, runs[i], excluded, &exMu)
 			results[i] = result{payload: payload, rows: n, err: err}
 		}(i)
 	}
 
+	var header []byte // written with the first payload
+	if compressed {
+		header = scanHeader
+	}
+	rows := 0
 	for i := range runs {
+		t0 := time.Now()
 		select {
 		case <-done[i]:
 		case <-ctx.Done():
-			return rows, emitted, ctx.Err()
+			return rows, ctx.Err()
 		}
+		tr.AddSince(obs.SpanEngine, t0)
 		r := results[i]
 		if r.err != nil {
-			return rows, emitted, r.err
+			return rows, r.err
 		}
-		if !emitted && compressed {
-			if _, err := w.Write(scanHeader); err != nil {
-				return rows, true, err
+		t0 = time.Now()
+		if len(header) > 0 {
+			if _, err := w.Write(header); err != nil {
+				return rows, err
 			}
+			header = nil
 		}
-		emitted = true
 		if _, err := w.Write(r.payload); err != nil {
-			return rows, true, err
+			return rows, err
 		}
+		tr.AddSince(obs.SpanWrite, t0)
 		rows += r.rows
 	}
-	if !emitted {
-		// Zero row-groups still produce a valid (empty) stream.
-		if compressed {
-			if _, err := w.Write(scanHeader); err != nil {
-				return rows, true, err
-			}
+	// Zero row-groups still produce a valid (empty) stream.
+	if len(header) > 0 {
+		if _, err := w.Write(header); err != nil {
+			return rows, err
 		}
-		emitted = true
 	}
-	obs.Active().Observe(obs.HistClusterScatter, time.Since(start).Nanoseconds())
-	return rows, emitted, nil
+	o.Observe(obs.HistClusterScatter, time.Since(start).Nanoseconds())
+	return rows, nil
 }

@@ -1,311 +1,51 @@
-// The coordinator's HTTP face: the same /v1/columns surface alpserved
-// serves, so the stock client (and anything built on it) talks to a
-// cluster without knowing it is one, plus /v1/cluster/* for the
-// partition map and rebalance control. Error mapping is the
-// no-silent-partials discipline on the wire: a PartialUnavailableError
-// before any byte is written is a 503 whose body names the typed
-// refusal, and after first emit the only honest signal left is an
-// aborted connection (the scan completion trailer never appears).
+// The coordinator's HTTP face: the shared shell (internal/server) over
+// the Coordinator, so alpclusterd serves alpserved's /v1/columns
+// surface with the same admission, drain, tracing and error mapping,
+// plus the two routes only a coordinator has: /v1/cluster/map and
+// /v1/cluster/rebalance.
 package cluster
 
 import (
-	"context"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
-	"github.com/goalp/alp"
-	"github.com/goalp/alp/client"
-	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/obs"
+	"github.com/goalp/alp/internal/server"
 )
 
-// ServerOptions configures the coordinator's HTTP layer.
-type ServerOptions struct {
-	// RequestTimeout bounds each request end-to-end. 0 means 30s.
-	RequestTimeout time.Duration
-	// MaxBodyBytes caps an ingest body. 0 means 1 GiB.
-	MaxBodyBytes int64
-}
-
-// Server mounts a Coordinator behind the alpserved HTTP surface.
-type Server struct {
-	co   *Coordinator
-	opts ServerOptions
-	mux  *http.ServeMux
-}
-
-// NewServer wraps co in the HTTP surface.
-func NewServer(co *Coordinator, opts ServerOptions) *Server {
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = 30 * time.Second
-	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 1 << 30
-	}
-	s := &Server{co: co, opts: opts, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/columns/{name}", s.wrap(s.handleIngest))
-	s.mux.HandleFunc("GET /v1/columns", s.wrap(s.handleList))
-	s.mux.HandleFunc("GET /v1/columns/{name}", s.wrap(s.handleInfo))
-	s.mux.HandleFunc("DELETE /v1/columns/{name}", s.wrap(s.handleDelete))
-	s.mux.HandleFunc("GET /v1/columns/{name}/agg", s.wrap(s.handleAgg))
-	s.mux.HandleFunc("GET /v1/columns/{name}/count", s.wrap(s.handleCount))
-	s.mux.HandleFunc("GET /v1/columns/{name}/scan", s.wrap(s.handleScan))
-	s.mux.HandleFunc("GET /v1/columns/{name}/data", s.wrap(s.handleData))
-	s.mux.HandleFunc("GET /v1/cluster/map", s.wrap(s.handleMap))
-	s.mux.HandleFunc("POST /v1/cluster/rebalance", s.wrap(s.handleRebalance))
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /readyz", s.handleHealth)
+// NewServer mounts co behind the HTTP shell.
+func NewServer(co *Coordinator, opts server.Options) *server.Server {
+	s := server.NewShell(co, opts)
+	s.Handle("GET /v1/cluster/map", obs.HistMeta, co.handleMap)
+	s.Handle("POST /v1/cluster/rebalance", obs.HistMeta, co.handleRebalance)
 	return s
 }
 
-// Handler returns the root handler.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// wrap bounds the request with the coordinator's timeout; backend
-// latencies and scatter shapes are recorded inside the Coordinator, so
-// the HTTP layer stays thin.
-func (s *Server) wrap(h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-		defer cancel()
-		h(w, r.WithContext(ctx))
-	}
-}
-
-func httpError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]any{"error": msg})
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// queryError maps coordinator errors onto the wire: unknown column is
-// a 404, the typed partial-unavailable refusal (and any backend-pool
-// exhaustion) is a 503 — the degraded-but-honest answer — and
-// everything else is a 500.
-func queryError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, ErrUnknownColumn):
-		httpError(w, http.StatusNotFound, err.Error())
-	case IsPartialUnavailable(err):
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, context.DeadlineExceeded):
-		httpError(w, http.StatusServiceUnavailable, "clustered query deadline exceeded: "+err.Error())
-	default:
-		httpError(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-func validateName(name string) error {
-	if name == "" || len(name) > 128 {
-		return errors.New("column name must be 1..128 bytes")
-	}
-	if strings.ContainsAny(name, "/\\ \t\n@") {
-		return errors.New("column name must not contain slashes, whitespace or '@'")
-	}
-	return nil
-}
-
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if err := validateName(name); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		switch {
-		case errors.As(err, &mbe):
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d-byte cap", s.opts.MaxBodyBytes))
-		case r.Context().Err() != nil:
-			httpError(w, http.StatusRequestTimeout, "ingest deadline exceeded")
-		default:
-			httpError(w, http.StatusBadRequest, "reading body: "+err.Error())
-		}
-		return
-	}
-	var info client.ColumnInfo
-	if r.Header.Get("Content-Type") == client.CompressedContentType {
-		// Re-frame an already-compressed stream: validate, then shard
-		// its row-groups verbatim — no re-encode anywhere.
-		col, err := format.Unmarshal(body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "compressed stream: "+err.Error())
-			return
-		}
-		info, err = s.co.IngestColumn(r.Context(), name, col, body)
-		if err != nil {
-			queryError(w, err)
-			return
-		}
-	} else {
-		if len(body)%8 != 0 {
-			httpError(w, http.StatusBadRequest,
-				fmt.Sprintf("body length not a multiple of 8 (%d trailing bytes)", len(body)%8))
-			return
-		}
-		values := make([]float64, len(body)/8)
-		for i := range values {
-			values[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*8:]))
-		}
-		info, err = s.co.Ingest(r.Context(), name, values)
-		if err != nil {
-			queryError(w, err)
-			return
-		}
-	}
-	writeJSON(w, http.StatusCreated, infoWire(info))
-}
-
-// infoWire re-emits client.ColumnInfo under the server's JSON keys.
-func infoWire(info client.ColumnInfo) map[string]any {
-	return map[string]any{
-		"name":             info.Name,
-		"values":           info.Values,
-		"num_vectors":      info.NumVectors,
-		"num_row_groups":   info.NumRowGroups,
-		"compressed_bytes": info.CompressedBytes,
-		"bits_per_value":   info.BitsPerValue,
-		"exceptions":       info.Exceptions,
-		"used_rd":          info.UsedRD,
-	}
-}
-
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"columns": s.co.List()})
-}
-
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	info, err := s.co.Info(r.PathValue("name"))
-	if err != nil {
-		queryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, infoWire(info))
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.co.Delete(r.Context(), r.PathValue("name")) {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no column %q", r.PathValue("name")))
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-func fmtFloat(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-
-func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
-	agg, err := s.co.Agg(r.Context(), r.PathValue("name"), client.RawPredicate(r.URL.Query()))
-	if err != nil {
-		queryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sum":     fmtFloat(agg.Sum),
-		"count":   agg.Count,
-		"min":     fmtFloat(agg.Min),
-		"max":     fmtFloat(agg.Max),
-		"touched": agg.Touched,
-		"threads": 1,
-	})
-}
-
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	count, err := s.co.Count(r.Context(), r.PathValue("name"), client.RawPredicate(r.URL.Query()))
-	if err != nil {
-		queryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": count})
-}
-
-// scanRowsTrailer mirrors the alpserved completion trailer, the frame
-// that distinguishes "stream complete" from an aborted connection.
-const scanRowsTrailer = "X-Alp-Scan-Rows"
-
-func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	compressed := false
-	for _, accept := range r.Header.Values("Accept") {
-		for _, part := range strings.Split(accept, ",") {
-			mt := strings.TrimSpace(part)
-			if i := strings.IndexByte(mt, ';'); i >= 0 {
-				mt = strings.TrimSpace(mt[:i])
-			}
-			if mt == alp.ScanStreamContentType {
-				compressed = true
-			}
-		}
-	}
-	w.Header().Set("Trailer", scanRowsTrailer)
-	if compressed {
-		w.Header().Set("Content-Type", alp.ScanStreamContentType)
-	} else {
-		w.Header().Set("Content-Type", "application/x-alp-f64le")
-	}
-	rows, emitted, err := s.co.Scan(r.Context(), r.PathValue("name"), client.RawPredicate(r.URL.Query()), compressed, w)
-	if err != nil {
-		if emitted {
-			// Bytes are on the wire: the completion trailer must not
-			// appear, so abort instead of finishing a short stream.
-			panic(http.ErrAbortHandler)
-		}
-		w.Header().Del("Trailer")
-		w.Header().Del("Content-Type")
-		queryError(w, err)
-		return
-	}
-	w.Header().Set(scanRowsTrailer, strconv.Itoa(rows))
-}
-
-func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
-	data, err := s.co.Data(r.Context(), r.PathValue("name"))
-	if err != nil {
-		queryError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", client.CompressedContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
-}
-
-func (s *Server) handleMap(w http.ResponseWriter, _ *http.Request) {
-	m := s.co.Map()
-	cols := *s.co.cols.Load()
+func (c *Coordinator) handleMap(w http.ResponseWriter, _ *http.Request) error {
+	m := c.Map()
+	cols := *c.cols.Load()
 	type colWire struct {
 		Name      string `json:"name"`
 		RowGroups int    `json:"row_groups"`
 		Epoch     uint64 `json:"epoch"`
 	}
 	cw := make([]colWire, 0, len(cols))
-	for _, name := range s.co.List() {
+	for _, name := range sortedNames(cols) {
 		st := cols[name]
 		cw = append(cw, colWire{Name: st.name, RowGroups: st.numRG, Epoch: st.epoch})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"epoch":    m.Epoch,
 		"backends": m.Backends,
 		"replicas": m.Replicas,
 		"columns":  cw,
 	})
+	return nil
 }
 
-func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
+func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) error {
 	var req struct {
 		Column string `json:"column"`
 		From   string `json:"from"`
@@ -314,45 +54,12 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		RgHi   int    `json:"rg_hi"`
 	}
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "rebalance request: "+err.Error())
-		return
+		return fmt.Errorf("%w: rebalance request: %v", server.ErrBadRequest, err)
 	}
-	res, err := s.co.Rebalance(r.Context(), req.Column, req.From, req.To, req.RgLo, req.RgHi)
+	res, err := c.Rebalance(r.Context(), req.Column, req.From, req.To, req.RgLo, req.RgHi)
 	if err != nil {
-		if errors.Is(err, ErrUnknownColumn) {
-			httpError(w, http.StatusNotFound, err.Error())
-		} else if IsPartialUnavailable(err) {
-			httpError(w, http.StatusServiceUnavailable, err.Error())
-		} else {
-			httpError(w, http.StatusBadRequest, err.Error())
-		}
-		return
+		return err
 	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// handleMetrics serves the process obs snapshot plus the coordinator's
-// cluster extras: the map epoch, per-backend pool/breaker/retry stats
-// and per-backend call-latency histograms (backend<i>_lat_*) — the
-// per-shard observability the fan-out counters summarize.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	extras := make([]obs.Extra, 0, 4)
-	m := s.co.Map()
-	extras = append(extras, obs.Extra{Name: "cluster_epoch", JSON: strconv.FormatUint(m.Epoch, 10)})
-	extras = append(extras, obs.Extra{Name: "cluster_columns", JSON: strconv.Itoa(len(*s.co.cols.Load()))})
-	if bs, err := json.Marshal(s.co.pool.Stats()); err == nil {
-		extras = append(extras, obs.Extra{Name: "cluster_backends", JSON: string(bs)})
-	}
-	for i, h := range s.co.backendHists {
-		snap := h.Snapshot()
-		for _, mt := range snap.Flats(fmt.Sprintf("backend%d_lat", i)) {
-			extras = append(extras, obs.Extra{Name: mt.Name, JSON: strconv.FormatInt(mt.Value, 10)})
-		}
-	}
-	fmt.Fprintln(w, obs.Active().Snapshot().JSON(extras...))
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, res)
+	return nil
 }

@@ -365,9 +365,16 @@ func (c *Collector) ServerBytesOut(n int64) {
 	c.serverBytesOut.Add(n)
 }
 
-// ServerScanned records one served scan/agg/count request. Durations
-// are no longer folded into a counter here — the per-endpoint latency
-// histograms (Observe with HistAgg/HistCount/HistScan) carry them.
+// ServerScanned records one served scan/agg/count request; its
+// duration lands in the endpoint's latency histogram (Observe with
+// HistAgg/HistCount/HistScan).
+func (c *Collector) ServerScanned() {
+	if c == nil {
+		return
+	}
+	c.serverScans.Add(1)
+}
+
 // ---- scatter-gather coordinator hooks ----
 
 // ClusterScatter records one clustered query's fan-out: the number of
@@ -425,13 +432,6 @@ func (c *Collector) ClusterRebalance() {
 		return
 	}
 	c.clusterRebalances.Add(1)
-}
-
-func (c *Collector) ServerScanned() {
-	if c == nil {
-		return
-	}
-	c.serverScans.Add(1)
 }
 
 // ScanFrames records one scan request's wire-frame mix: how many frames

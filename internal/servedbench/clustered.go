@@ -16,10 +16,10 @@ import (
 	"net/http/httptest"
 	"runtime"
 
-	"github.com/goalp/alp/client"
 	"github.com/goalp/alp/internal/bench"
 	"github.com/goalp/alp/internal/cluster"
 	"github.com/goalp/alp/internal/engine"
+	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/server"
 )
 
@@ -30,9 +30,9 @@ import (
 // the 1-shard point of the same run, so shards must include 1.
 func MeasureClusteredAgg(n int, shards []int, opt bench.Options) ([]bench.ClusteredAggEntry, error) {
 	values := column(n)
-	lo, hi := 250.0, 749.995 // the middle half of column's [0, 1000) spread
-	pred := client.Between(lo, hi)
-	parts, _ := engine.BuildALP(values).FilterAggPartials(1, engine.Between(lo, hi), nil)
+	stream := format.EncodeColumn(values).Marshal()
+	pred := engine.Between(250, 749.995) // the middle half of column's [0, 1000) spread
+	parts, _ := engine.BuildALP(values).FilterAggPartials(1, pred, nil)
 	want := engine.MergeAggs(parts)
 
 	mvs := func(sec float64) float64 {
@@ -52,10 +52,20 @@ func MeasureClusteredAgg(n int, shards []int, opt bench.Options) ([]bench.Cluste
 			urls[i] = backends[i].URL
 		}
 		co := cluster.New(urls, cluster.Options{})
-		if _, err := co.Ingest(ctx, "sweep", values); err != nil {
+		if _, err := co.Put(ctx, "sweep", stream); err != nil {
 			return nil, fmt.Errorf("clustered ingest (%d shards): %w", s, err)
 		}
-		got, err := co.Agg(ctx, "sweep", pred)
+		// The coordinator's partials merged in row-group order, as the
+		// shell's /agg does, without the shell's HTTP hop.
+		agg := func() (engine.Agg, error) {
+			c, err := co.Column(ctx, "sweep")
+			if err != nil {
+				return engine.Agg{}, err
+			}
+			parts, _, err := c.AggPartials(ctx, pred, 1, nil)
+			return engine.MergeAggs(parts), err
+		}
+		got, err := agg()
 		if err != nil {
 			return nil, fmt.Errorf("clustered agg (%d shards): %w", s, err)
 		}
@@ -65,7 +75,7 @@ func MeasureClusteredAgg(n int, shards []int, opt bench.Options) ([]bench.Cluste
 		}
 		runtime.GC()
 		sec := bestOfSeconds(func() {
-			if _, err := co.Agg(ctx, "sweep", pred); err != nil {
+			if _, err := agg(); err != nil {
 				panic("clustered agg: " + err.Error())
 			}
 		}, opt.MinDur)

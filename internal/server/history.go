@@ -49,52 +49,46 @@ type historyResponse struct {
 	Points  []historyPoint `json:"points"`
 }
 
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) error {
 	st := s.opts.MetricsHistory
 	if st == nil {
-		httpError(w, http.StatusNotFound, "metrics history is disabled (start alpserved with -metrics-history)")
-		return
+		return errorf(http.StatusNotFound, "metrics history is disabled (alpserved -metrics-history enables it)")
 	}
 	q := r.URL.Query()
 	metric := q.Get("metric")
 	if metric == "" {
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"series": st.Names(),
 			"stats":  st.Stats(),
 		})
-		return
+		return nil
 	}
 	now := time.Now()
 	sinceUs, err := parseHistoryTime(q.Get("since"), now)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "parameter since: "+err.Error())
-		return
+		return errorf(http.StatusBadRequest, "parameter since: %v", err)
 	}
 	untilUs := now.UnixMicro()
 	if v := q.Get("until"); v != "" {
 		if untilUs, err = parseHistoryTime(v, now); err != nil {
-			httpError(w, http.StatusBadRequest, "parameter until: "+err.Error())
-			return
+			return errorf(http.StatusBadRequest, "parameter until: %v", err)
 		}
 	}
 	var step time.Duration
 	if v := q.Get("step"); v != "" {
 		if step, err = time.ParseDuration(v); err != nil || step <= 0 {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("parameter step: %q is not a positive duration", v))
-			return
+			return errorf(http.StatusBadRequest, "parameter step: %q is not a positive duration", v)
 		}
 	}
 	agg := metricstore.AggSum
 	if v := q.Get("agg"); v != "" {
 		if agg, err = metricstore.ParseAgg(v); err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
+			return errorf(http.StatusBadRequest, "%v", err)
 		}
 	}
 	pts, err := st.Query(metric, sinceUs, untilUs, step, agg)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return errorf(http.StatusBadRequest, "%v", err)
 	}
 	stepUs := step.Microseconds()
 	if stepUs <= 0 {
@@ -111,7 +105,8 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	for _, p := range pts {
 		resp.Points = append(resp.Points, historyPoint{TsUs: p.TsUs, Value: fmtFloat(p.Value), Count: p.Count})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // parseHistoryTime resolves one time parameter to unix microseconds.

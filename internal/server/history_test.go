@@ -289,30 +289,3 @@ func topLevelKeys(t *testing.T, raw string) []string {
 	}
 	return keys
 }
-
-func TestMetricsProm(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	srv := New(Options{})
-	h := httptest.NewServer(srv.Handler())
-	defer h.Close()
-	obs.Active().ServerRequest()
-	resp, err := http.Get(h.URL + "/metrics.prom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
-		t.Fatalf("/metrics.prom Content-Type = %q, want %q", ct, obs.PromContentType)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	for _, want := range []string{
-		"# TYPE alp_server_requests counter\n",
-		"# TYPE alp_lat_scan_ns histogram\n",
-		"alp_lat_scan_ns_bucket{le=\"+Inf\"}",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("/metrics.prom missing %q", want)
-		}
-	}
-}

@@ -109,97 +109,6 @@ func TestEndpointLatencyHistograms(t *testing.T) {
 	}
 }
 
-// TestAccessLogAndSlowQuery checks the structured logging contract: a
-// request carrying X-Alp-Request-Id yields an access-log line with
-// that ID whose span durations sum to roughly the request wall time,
-// and (over the threshold — here everything) the same line lands in
-// the slow-query log marked slow.
-func TestAccessLogAndSlowQuery(t *testing.T) {
-	var access, slowLog syncBuffer
-	srv := New(Options{
-		AccessLog:          &access,
-		SlowQueryLog:       &slowLog,
-		SlowQueryThreshold: time.Nanosecond,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	ctx := context.Background()
-	cl := client.New(ts.URL)
-	if _, err := cl.Ingest(ctx, "logged", dataset(4096, 31)); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-
-	const reqID = "test-req-0042"
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/columns/logged/scan?ge=50", nil)
-	req.Header.Set(RequestIDHeader, reqID)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("scan: %v", err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("scan status %d", resp.StatusCode)
-	}
-	if len(body) == 0 {
-		t.Fatal("scan returned no rows")
-	}
-	if got := resp.Header.Get(RequestIDHeader); got != reqID {
-		t.Errorf("response %s = %q, want %q (client ID echoed)", RequestIDHeader, got, reqID)
-	}
-
-	// The log line is written in a deferred func racing the response;
-	// poll briefly.
-	line := waitForLine(t, &access, reqID)
-	var rec struct {
-		ID       string           `json:"id"`
-		Method   string           `json:"method"`
-		Path     string           `json:"path"`
-		Status   int              `json:"status"`
-		BytesOut int64            `json:"bytes_out"`
-		DurNs    int64            `json:"dur_ns"`
-		Spans    map[string]int64 `json:"spans"`
-		Slow     bool             `json:"slow"`
-	}
-	if err := json.Unmarshal([]byte(line), &rec); err != nil {
-		t.Fatalf("access-log line is not JSON: %v\n%s", err, line)
-	}
-	if rec.Method != "GET" || rec.Path != "/v1/columns/logged/scan" || rec.Status != 200 {
-		t.Errorf("access record = %+v", rec)
-	}
-	if rec.BytesOut != int64(len(body)) {
-		t.Errorf("bytes_out = %d, body was %d", rec.BytesOut, len(body))
-	}
-	if rec.DurNs <= 0 {
-		t.Fatalf("dur_ns = %d", rec.DurNs)
-	}
-	if len(rec.Spans) == 0 {
-		t.Fatal("no spans recorded")
-	}
-	for _, span := range []string{"registry", "engine", "write"} {
-		if rec.Spans[span] <= 0 {
-			t.Errorf("span %q = %d, want > 0 for a scan", span, rec.Spans[span])
-		}
-	}
-	var sum int64
-	for _, ns := range rec.Spans {
-		sum += ns
-	}
-	// "other" absorbs unattributed wall time, so the spans reconstruct
-	// the request duration up to the clock reads between boundaries.
-	if sum < rec.DurNs*9/10 || sum > rec.DurNs*11/10 {
-		t.Errorf("span sum %d not ~ dur_ns %d", sum, rec.DurNs)
-	}
-	if !rec.Slow {
-		t.Error("1ns threshold: the access line should be marked slow")
-	}
-
-	slowLine := waitForLine(t, &slowLog, reqID)
-	if !strings.Contains(slowLine, `"slow":true`) {
-		t.Errorf("slow-query line lacks slow marker: %s", slowLine)
-	}
-}
-
 // TestAggEngineSpan: /agg and /count time the engine span in both
 // modes, so a partials request (what a coordinator sends) shows its
 // engine time in the access log like a merged one does.
@@ -248,40 +157,6 @@ func waitForLine(t *testing.T, buf *syncBuffer, token string) string {
 			t.Fatalf("no log line containing %q; log so far:\n%s", token, buf.String())
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestLivenessReadinessSplit pins the probe semantics: /healthz stays
-// 200 through a drain (the process is alive) while /readyz flips to
-// 503 the moment draining starts.
-func TestLivenessReadinessSplit(t *testing.T) {
-	srv := New(Options{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	status := func(path string) int {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if got := status("/healthz"); got != http.StatusOK {
-		t.Errorf("/healthz before drain = %d", got)
-	}
-	if got := status("/readyz"); got != http.StatusOK {
-		t.Errorf("/readyz before drain = %d", got)
-	}
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if got := status("/healthz"); got != http.StatusOK {
-		t.Errorf("/healthz during drain = %d, want 200 (liveness)", got)
-	}
-	if got := status("/readyz"); got != http.StatusServiceUnavailable {
-		t.Errorf("/readyz during drain = %d, want 503 (readiness)", got)
 	}
 }
 

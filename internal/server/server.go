@@ -1,9 +1,11 @@
-// Package server implements alpserved's HTTP API: a compressed-column
-// service that keeps every column in its ALP-encoded form and answers
-// predicate queries server-side with the engine's encoded-domain
-// pushdown operators, or ships raw encoded vectors to thin clients
-// that decode locally (the Lemire & Boytsov discipline of staying in
-// the packed domain end-to-end).
+// Package server is the HTTP shell of both column services: alpserved
+// mounts the local Registry behind it (New) and alpclusterd mounts
+// cluster.Coordinator (NewShell). Both keep every column in its
+// ALP-encoded form and answer predicate queries server-side with the
+// engine's encoded-domain pushdown operators, or ship raw encoded
+// vectors to thin clients that decode locally (the Lemire & Boytsov
+// discipline of staying in the packed domain end-to-end). Both binaries
+// serve one surface; a Service (service.go) answers only what differs.
 //
 // API (all JSON errors are {"error": "..."}):
 //
@@ -12,24 +14,30 @@
 //	GET    /v1/columns                   list column names
 //	GET    /v1/columns/{name}            column info (values, bits/value, schemes, exceptions)
 //	DELETE /v1/columns/{name}            drop a column
-//	GET    /v1/columns/{name}/agg        filtered SUM/COUNT/MIN/MAX: engine.FilterAggPartials merged in row-group order
+//	GET    /v1/columns/{name}/agg        filtered SUM/COUNT/MIN/MAX: per-row-group partials merged in row-group order
 //	                                     (?partials=rowgroups returns the partials unmerged, ?rgs= a subset)
-//	GET    /v1/columns/{name}/count      filtered COUNT: engine.FilterCountPartials summed (?partials=rowgroups as above)
+//	GET    /v1/columns/{name}/count      filtered COUNT: per-row-group counts summed (?partials=rowgroups as above)
 //	GET    /v1/columns/{name}/scan       stream qualifying rows (little-endian float64s; ?rg_lo/?rg_hi bound the range)
 //	GET    /v1/columns/{name}/data       the compressed column stream (?rg_lo/?rg_hi export a re-based range)
-//	GET    /v1/columns/{name}/vectors/{i} one encoded vector as a standalone envelope
-//	GET    /metrics                      codec + service counters, latency quantiles, per-column stats (JSON, sorted keys)
+//	GET    /metrics                      codec + service counters, latency quantiles and the service's extras (JSON, sorted keys)
 //	GET    /metrics.prom                 the same snapshot in Prometheus text exposition format
 //	GET    /v1/metrics/history           range-query the self-telemetry history store (404 when the recorder is off)
 //	GET    /healthz                      liveness: 200 whenever the process answers HTTP
 //	GET    /readyz                       readiness: 200 while accepting work, 503 while draining
+//
+// alpserved adds GET /v1/columns/{name}/vectors/{i}, one encoded vector
+// as a standalone envelope; alpclusterd adds /v1/cluster/map and
+// /v1/cluster/rebalance. Both mount them through Handle, behind the
+// same admission and tracing as every other route.
 //
 // Observability: every admitted request carries a request ID — taken
 // from the X-Alp-Request-Id header, generated when absent, and echoed
 // back on the response — and an obs.Trace threaded through the request
 // context, so the engine and codec layers attribute their time to
 // per-request spans (admission, registry, read, encode, engine,
-// write). Each endpoint lands one sample in a log-bucketed latency
+// write). The typed client forwards that ID on every call a
+// coordinator makes, so one ID names a request on every process it
+// crosses. Each endpoint lands one sample in a log-bucketed latency
 // histogram exposed on /metrics as lat_*_p50_ns/_p95_ns/_p99_ns keys.
 // When Options.AccessLog is set, every request emits one structured
 // JSON line; when Options.SlowQueryLog is set, requests slower than
@@ -41,14 +49,18 @@
 // Repeated parameters intersect too, so a conjunction of bounds can be
 // spelled one key per conjunct (the client's Predicate.And does this).
 //
-// Fold order: /agg and /count run one engine call that folds each
-// row-group from a fresh accumulator in position order; the merged
-// answer adds those partials in row-group order, and partials mode
-// returns them as they are. The answer is therefore bit-identical
-// (Float64bits) to the in-process engine.FilterAgg, to alp.Column's
-// AggRange and to a coordinator merging the same partials from several
-// backends. ?threads= (default 1, at most 64) is a per-request speed
-// hint only; it never changes a result.
+// Fold order: /agg and /count ask the service for per-row-group
+// partials, each folded from a fresh accumulator in position order;
+// the shell adds them in row-group order, and partials mode returns
+// them as they are. The answer is therefore bit-identical (Float64bits)
+// to the in-process engine.FilterAgg and to alp.Column's AggRange,
+// whichever service computed the partials. ?threads= (default 1, at
+// most 64) is a per-request speed hint only; it never changes a result.
+//
+// Errors: a service wraps ErrNotFound (404), ErrBadRequest (400) or
+// ErrUnavailable (503); anything else is a 500. A scan that fails after
+// its first byte went out aborts the connection instead, so the
+// client sees a transport error and never a silently short 200.
 //
 // Robustness: a semaphore admission limiter sheds load with 429 +
 // Retry-After instead of queueing unboundedly; every request runs
@@ -80,7 +92,6 @@ import (
 	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/metricstore"
 	"github.com/goalp/alp/internal/obs"
-	"github.com/goalp/alp/internal/vector"
 )
 
 // Options configures a Server. The zero value gets sane defaults.
@@ -140,11 +151,11 @@ const RequestIDHeader = "X-Alp-Request-Id"
 // one request to fan out unboundedly.
 const maxThreads = 64
 
-// Server is the HTTP column service. Create with New, mount Handler,
-// and call Shutdown to drain.
+// Server is the HTTP shell over one Service. Create with New or
+// NewShell, mount Handler, and call Shutdown to drain.
 type Server struct {
 	opts Options
-	reg  *Registry
+	svc  Service
 	mux  *http.ServeMux
 	sem  chan struct{}
 
@@ -158,24 +169,38 @@ type Server struct {
 	testHook func()
 }
 
-// New returns a Server ready to mount.
+// New returns alpserved's server: the shell over a fresh Registry, plus
+// the /vectors/{i} route only a local registry can answer.
 func New(opts Options) *Server {
+	s := NewShell(NewRegistry(), opts)
+	s.Handle("GET /v1/columns/{name}/vectors/{i}", obs.HistVectors, func(w http.ResponseWriter, r *http.Request) error {
+		c, err := s.column(r)
+		if err != nil {
+			return err
+		}
+		return c.(*storedColumn).serveVector(w, r.PathValue("i"))
+	})
+	return s
+}
+
+// NewShell mounts svc behind the shell's /v1/columns surface, the
+// metrics endpoints and the probes.
+func NewShell(svc Service, opts Options) *Server {
 	s := &Server{
 		opts: opts.withDefaults(),
-		reg:  NewRegistry(),
+		svc:  svc,
+		mux:  http.NewServeMux(),
 	}
 	s.sem = make(chan struct{}, s.opts.MaxConcurrent)
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/columns/{name}", s.wrap(obs.HistIngest, s.handleIngest))
-	s.mux.HandleFunc("GET /v1/columns", s.wrap(obs.HistMeta, s.handleList))
-	s.mux.HandleFunc("GET /v1/columns/{name}", s.wrap(obs.HistMeta, s.handleInfo))
-	s.mux.HandleFunc("DELETE /v1/columns/{name}", s.wrap(obs.HistMeta, s.handleDelete))
-	s.mux.HandleFunc("GET /v1/columns/{name}/agg", s.wrap(obs.HistAgg, s.handleAgg))
-	s.mux.HandleFunc("GET /v1/columns/{name}/count", s.wrap(obs.HistCount, s.handleCount))
-	s.mux.HandleFunc("GET /v1/columns/{name}/scan", s.wrap(obs.HistScan, s.handleScan))
-	s.mux.HandleFunc("GET /v1/columns/{name}/data", s.wrap(obs.HistData, s.handleData))
-	s.mux.HandleFunc("GET /v1/columns/{name}/vectors/{i}", s.wrap(obs.HistVectors, s.handleVector))
-	s.mux.HandleFunc("GET /v1/metrics/history", s.wrap(obs.HistHistory, s.handleHistory))
+	s.Handle("POST /v1/columns/{name}", obs.HistIngest, s.handleIngest)
+	s.Handle("GET /v1/columns", obs.HistMeta, s.handleList)
+	s.Handle("GET /v1/columns/{name}", obs.HistMeta, s.handleInfo)
+	s.Handle("DELETE /v1/columns/{name}", obs.HistMeta, s.handleDelete)
+	s.Handle("GET /v1/columns/{name}/agg", obs.HistAgg, s.handleAgg)
+	s.Handle("GET /v1/columns/{name}/count", obs.HistCount, s.handleCount)
+	s.Handle("GET /v1/columns/{name}/scan", obs.HistScan, s.handleScan)
+	s.Handle("GET /v1/columns/{name}/data", obs.HistData, s.handleData)
+	s.Handle("GET /v1/metrics/history", obs.HistHistory, s.handleHistory)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)          // never shed: always observable
 	s.mux.HandleFunc("GET /metrics.prom", s.handleMetricsProm) // never shed, same contract
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -183,12 +208,16 @@ func New(opts Options) *Server {
 	return s
 }
 
+// Handle mounts a route behind the shell's admission and tracing
+// wrapper; ep names its latency histogram. h writes its own success
+// response and returns an error otherwise, which the shell maps onto a
+// status.
+func (s *Server) Handle(pattern string, ep obs.HistID, h func(http.ResponseWriter, *http.Request) error) {
+	s.mux.HandleFunc(pattern, s.wrap(ep, h))
+}
+
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Registry exposes the column registry (for embedding the server in a
-// process that also loads columns directly).
-func (s *Server) Registry() *Registry { return s.reg }
 
 // Shutdown drains the service: new requests are refused with 503
 // immediately, in-flight requests run to completion (or until ctx
@@ -260,8 +289,10 @@ func (g *drainGate) isDraining() bool {
 // response byte accounting. Admitted requests also get the
 // observability envelope: a Trace (request ID in, span accumulators
 // through the context, ID echoed out), one sample in the endpoint's
-// latency histogram, and a structured log line when logging is on.
-func (s *Server) wrap(ep obs.HistID, h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
+// latency histogram, and a structured log line when logging is on. A
+// handler's error becomes its status while nothing has been written;
+// after that, only an aborted connection is honest.
+func (s *Server) wrap(ep obs.HistID, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		o := obs.Active()
 		start := time.Now()
@@ -307,16 +338,53 @@ func (s *Server) wrap(ep obs.HistID, h func(http.ResponseWriter, *http.Request))
 		cw := &countingWriter{ResponseWriter: w}
 		tr.AddSince(obs.SpanAdmission, start)
 		// Deferred (not sequential) so the byte count, the endpoint
-		// latency sample and the log line all land even when a handler
-		// aborts the connection with http.ErrAbortHandler.
+		// latency sample and the log line all land even when the
+		// connection is aborted with http.ErrAbortHandler.
 		defer func() {
 			dur := time.Since(start)
 			o.ServerBytesOut(cw.n)
 			o.Observe(ep, dur.Nanoseconds())
 			s.logRequest(r, tr, cw, dur)
 		}()
-		h(cw, r.WithContext(ctx))
+		if err := h(cw, r.WithContext(ctx)); err != nil {
+			if cw.status != 0 {
+				// Bytes are on the wire: tear the connection down so the
+				// truncation is a transport error the client can see and
+				// retry — a scan's completion trailer must not appear.
+				panic(http.ErrAbortHandler)
+			}
+			w.Header().Del("Trailer")
+			httpError(cw, errStatus(err), err.Error())
+		}
 	}
+}
+
+// statusError is an error the shell answers with a fixed status.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return e.msg }
+
+func errorf(code int, format string, args ...any) error {
+	return &statusError{code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+// errStatus maps a handler error onto its HTTP status.
+func errStatus(err error) int {
+	var se *statusError
+	switch {
+	case errors.As(err, &se):
+		return se.code
+	case errors.Is(err, ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, ErrBadRequest):
+		return http.StatusBadRequest
+	case errors.Is(err, ErrUnavailable):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusInternalServerError
 }
 
 // accessRecord is the JSON shape of one access-log (and slow-query)
@@ -415,32 +483,31 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 	fmt.Fprintf(w, "{\"error\":%q}\n", msg)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
 }
 
-// getColumn resolves {name} to a stored column or writes a 404. The
-// lookup is attributed to the request's registry span.
-func (s *Server) getColumn(w http.ResponseWriter, r *http.Request) (*storedColumn, bool) {
-	tr := obs.TraceFrom(r.Context())
-	var start time.Time
-	if tr != nil {
-		start = time.Now()
-	}
-	name := r.PathValue("name")
-	sc, ok := s.reg.Get(name)
-	tr.AddSince(obs.SpanRegistry, start)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no column %q", name))
-		return nil, false
-	}
-	return sc, true
+// column resolves {name} through the service. The lookup is attributed
+// to the request's registry span.
+func (s *Server) column(r *http.Request) (Column, error) {
+	start := time.Now()
+	c, err := s.svc.Column(r.Context(), r.PathValue("name"))
+	obs.TraceFrom(r.Context()).AddSince(obs.SpanRegistry, start)
+	return c, err
 }
 
-// ---- predicate parsing ----
+// hold runs the test hook, if any.
+func (s *Server) hold() {
+	if s.testHook != nil {
+		s.testHook()
+	}
+}
+
+// ---- parameter parsing ----
 
 // parsePredicate builds an engine predicate from query parameters by
 // intersecting every bound present: lo/ge (v >= x), gt (v > x), hi/le
@@ -453,25 +520,6 @@ func (s *Server) getColumn(w http.ResponseWriter, r *http.Request) (*storedColum
 // operators see.
 func parsePredicate(q url.Values) (engine.Predicate, error) {
 	p := engine.Between(math.Inf(-1), math.Inf(1))
-	apply := func(key string, build func(x float64) engine.Predicate) error {
-		for _, val := range q[key] {
-			x, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return fmt.Errorf("parameter %q: %v", key, err)
-			}
-			c := build(x)
-			// Intersection of closed intervals: max lower bound, min upper
-			// bound. A NaN bound (e.g. ge=NaN) propagates so the predicate
-			// matches nothing, same as the in-process constructors.
-			if c.Lo > p.Lo || math.IsNaN(c.Lo) {
-				p.Lo = c.Lo
-			}
-			if c.Hi < p.Hi || math.IsNaN(c.Hi) {
-				p.Hi = c.Hi
-			}
-		}
-		return nil
-	}
 	for _, b := range []struct {
 		key   string
 		build func(float64) engine.Predicate
@@ -484,8 +532,21 @@ func parsePredicate(q url.Values) (engine.Predicate, error) {
 		{"lt", engine.LT},
 		{"eq", engine.EQ},
 	} {
-		if err := apply(b.key, b.build); err != nil {
-			return p, err
+		for _, val := range q[b.key] {
+			x, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				return p, errorf(http.StatusBadRequest, "parameter %q: %v", b.key, err)
+			}
+			c := b.build(x)
+			// Intersection of closed intervals: max lower bound, min upper
+			// bound. A NaN bound (e.g. ge=NaN) propagates so the predicate
+			// matches nothing, same as the in-process constructors.
+			if c.Lo > p.Lo || math.IsNaN(c.Lo) {
+				p.Lo = c.Lo
+			}
+			if c.Hi < p.Hi || math.IsNaN(c.Hi) {
+				p.Hi = c.Hi
+			}
 		}
 	}
 	return p, nil
@@ -501,64 +562,143 @@ func parseThreads(q url.Values) (int, error) {
 	}
 	t, err := strconv.Atoi(v)
 	if err != nil || t < 1 || t > maxThreads {
-		return 0, fmt.Errorf("threads must be an integer in [1, %d]", maxThreads)
+		return 0, errorf(http.StatusBadRequest, "threads must be an integer in [1, %d]", maxThreads)
 	}
 	return t, nil
 }
 
+// parseRowGroups resolves the ?rgs= parameter: a comma-separated list
+// of row-group indexes (partials mode) selecting which row-groups to
+// answer for. nil means all.
+func parseRowGroups(q url.Values, numRG int) ([]int, error) {
+	raw := q.Get("rgs")
+	if raw == "" {
+		return nil, nil
+	}
+	parts := strings.Split(raw, ",")
+	out := make([]int, 0, len(parts))
+	for _, p := range parts {
+		g, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || g < 0 || g >= numRG {
+			return nil, errorf(http.StatusBadRequest, "rgs entries must be row-group indexes in [0, %d)", numRG)
+		}
+		out = append(out, g)
+	}
+	return out, nil
+}
+
+// parseRowGroupRange resolves the ?rg_lo= / ?rg_hi= parameters (ranged
+// scans and exports). Absent parameters default to the full range;
+// either may be given alone.
+func parseRowGroupRange(q url.Values, numRG int) (lo, hi int, ranged bool, err error) {
+	lo, hi = 0, numRG-1
+	if v := q.Get("rg_lo"); v != "" {
+		if lo, err = strconv.Atoi(v); err != nil {
+			return 0, 0, false, errorf(http.StatusBadRequest, "rg_lo must be an integer")
+		}
+		ranged = true
+	}
+	if v := q.Get("rg_hi"); v != "" {
+		if hi, err = strconv.Atoi(v); err != nil {
+			return 0, 0, false, errorf(http.StatusBadRequest, "rg_hi must be an integer")
+		}
+		ranged = true
+	}
+	if ranged && (lo < 0 || hi < lo || hi >= numRG) {
+		return 0, 0, false, errorf(http.StatusBadRequest, "row-group range [%d, %d] out of [0, %d)", lo, hi, numRG)
+	}
+	return lo, hi, ranged, nil
+}
+
+// aggQuery parses what /agg and /count share: the predicate, the
+// ?threads= hint and, with ?partials=rowgroups, the ?rgs= subset of the
+// column's rowGroups.
+func aggQuery(q url.Values, rowGroups int) (pred engine.Predicate, threads int, partials bool, idxs []int, err error) {
+	pred, err = parsePredicate(q)
+	if err == nil {
+		threads, err = parseThreads(q)
+	}
+	partials = q.Get("partials") == "rowgroups"
+	if err == nil && partials {
+		idxs, err = parseRowGroups(q, rowGroups)
+	}
+	return pred, threads, partials, idxs, err
+}
+
+func validateName(name string) error {
+	if name == "" || len(name) > 128 {
+		return errorf(http.StatusBadRequest, "column name must be 1..128 bytes")
+	}
+	if strings.ContainsAny(name, "/\\ \t\n") {
+		return errorf(http.StatusBadRequest, "column name must not contain slashes or whitespace")
+	}
+	return nil
+}
+
 // ---- handlers ----
 
-// columnInfo is the JSON shape of GET /v1/columns/{name} and the
-// ingest response. Float fields ride as strings formatted with
-// strconv 'g'/-1, which round-trips every finite float64 exactly.
-type columnInfo struct {
-	Name            string  `json:"name"`
-	Values          int     `json:"values"`
-	NumVectors      int     `json:"num_vectors"`
-	NumRowGroups    int     `json:"num_row_groups"`
-	CompressedBytes int     `json:"compressed_bytes"`
-	BitsPerValue    float64 `json:"bits_per_value"`
-	Exceptions      int     `json:"exceptions"`
-	UsedRD          bool    `json:"used_rd"`
-}
-
-func infoFor(sc *storedColumn) columnInfo {
-	return columnInfo{
-		Name:            sc.name,
-		Values:          sc.col.N,
-		NumVectors:      sc.col.NumVectors(),
-		NumRowGroups:    len(sc.col.RowGroups),
-		CompressedBytes: len(sc.data),
-		BitsPerValue:    sc.col.BitsPerValue(),
-		Exceptions:      sc.col.Exceptions(),
-		UsedRD:          sc.col.UsedRD(),
-	}
-}
-
-// handleIngest streams the request body — little-endian float64s —
-// into a parallel Writer: full row-groups are encoded by the bounded
-// pool while the body is still arriving, so ingest memory stays
-// bounded at workers+1 raw row-groups regardless of column size.
 // CompressedContentType marks a request or response body holding a
 // marshaled ALP column stream rather than raw float64s. Ingesting it
 // skips the encoder entirely — the path rebalancing moves compressed
 // row-group ranges over.
 const CompressedContentType = "application/x-alp-column"
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+// handleIngest turns the body into a marshaled column stream and hands
+// it to the service's Put: a compressed body verbatim, a raw one
+// streamed through the parallel Writer.
+func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
 	if err := validateName(name); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return err
 	}
-	if ct := r.Header.Get("Content-Type"); ct == CompressedContentType {
-		s.ingestCompressed(w, r, name)
-		return
-	}
-	o := obs.Active()
-	tr := obs.TraceFrom(r.Context())
-	readStart := time.Now()
+	ctx := r.Context()
+	tr := obs.TraceFrom(ctx)
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	var data []byte
+	var n int64
+	var err error
+	if r.Header.Get("Content-Type") == CompressedContentType {
+		readStart := time.Now()
+		data, err = io.ReadAll(body)
+		tr.AddSince(obs.SpanRead, readStart)
+		n = int64(len(data))
+	} else {
+		data, n, err = s.encodeRaw(ctx, body)
+	}
+	if err != nil {
+		var se *statusError
+		var mbe *http.MaxBytesError
+		switch {
+		case errors.As(err, &se):
+			return err
+		case errors.As(err, &mbe):
+			return errorf(http.StatusRequestEntityTooLarge, "body exceeds %d-byte cap", s.opts.MaxBodyBytes)
+		case errors.Is(err, os.ErrDeadlineExceeded), ctx.Err() != nil:
+			// The per-request read deadline set in wrap surfaces a
+			// stalled (trickling) body as a deadline error.
+			return errorf(http.StatusRequestTimeout, "ingest deadline exceeded")
+		}
+		return errorf(http.StatusBadRequest, "reading body: %v", err)
+	}
+	obs.Active().ServerBytesIn(n)
+	regStart := time.Now()
+	info, err := s.svc.Put(ctx, name, data)
+	tr.AddSince(obs.SpanRegistry, regStart)
+	if err != nil {
+		return err
+	}
+	WriteJSON(w, http.StatusCreated, info)
+	return nil
+}
+
+// encodeRaw streams a body of little-endian float64s into a parallel
+// Writer: full row-groups are encoded by the bounded pool while the
+// body is still arriving, so ingest memory stays bounded at workers+1
+// raw row-groups regardless of column size. It returns the marshaled
+// stream and the body's byte count.
+func (s *Server) encodeRaw(ctx context.Context, body io.Reader) ([]byte, int64, error) {
+	tr := obs.TraceFrom(ctx)
+	readStart := time.Now()
 	wr := alp.NewWriterParallel(alp.WriterOptions{Workers: s.opts.IngestWorkers})
 	// Every error return below must tear down the Writer's encode pool,
 	// or each failed ingest would permanently leak the pool's worker
@@ -570,9 +710,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	rem := 0 // bytes carried over to keep 8-byte alignment
 	var total int64
 	for {
-		if err := r.Context().Err(); err != nil {
-			httpError(w, http.StatusRequestTimeout, "ingest deadline exceeded")
-			return
+		if err := ctx.Err(); err != nil {
+			return nil, total, err
 		}
 		n, err := body.Read(buf[rem:])
 		total += int64(n)
@@ -584,111 +723,46 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		wr.Write(vals[:nv])
 		rem = n - nv*8
 		copy(buf, buf[nv*8:n])
+		if errors.Is(err, io.EOF) {
+			break
+		}
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				httpError(w, http.StatusRequestEntityTooLarge,
-					fmt.Sprintf("body exceeds %d-byte cap", s.opts.MaxBodyBytes))
-				return
-			}
-			// The per-request read deadline set in wrap surfaces a
-			// stalled (trickling) body as a deadline error here.
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				httpError(w, http.StatusRequestTimeout, "ingest deadline exceeded")
-				return
-			}
-			httpError(w, http.StatusBadRequest, "reading body: "+err.Error())
-			return
+			return nil, total, err
 		}
 	}
 	if rem != 0 {
-		httpError(w, http.StatusBadRequest,
-			fmt.Sprintf("body length not a multiple of 8 (%d trailing bytes)", rem))
-		return
+		return nil, total, errorf(http.StatusBadRequest, "body length not a multiple of 8 (%d trailing bytes)", rem)
 	}
 	// Span accounting: the read loop above overlaps the Writer's encode
 	// pool, so SpanRead is "time to drain the body" and SpanEncode is
 	// only the tail the encoder still owed when the body ended.
 	tr.AddSince(obs.SpanRead, readStart)
-	o.ServerBytesIn(total)
 	encStart := time.Now()
 	data := wr.Close()
 	tr.AddSince(obs.SpanEncode, encStart)
-	regStart := time.Now()
-	sc, err := s.reg.Put(name, data)
-	tr.AddSince(obs.SpanRegistry, regStart)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusCreated, infoFor(sc))
+	return data, total, nil
 }
 
-// ingestCompressed stores an already-marshaled column stream verbatim
-// (Content-Type application/x-alp-column). The registry's Put
-// validates the stream before the swap, so a corrupt body never
-// replaces a good column.
-func (s *Server) ingestCompressed(w http.ResponseWriter, r *http.Request, name string) {
-	tr := obs.TraceFrom(r.Context())
-	readStart := time.Now()
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	tr.AddSince(obs.SpanRead, readStart)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		switch {
-		case errors.As(err, &mbe):
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("body exceeds %d-byte cap", s.opts.MaxBodyBytes))
-		case errors.Is(err, os.ErrDeadlineExceeded), r.Context().Err() != nil:
-			httpError(w, http.StatusRequestTimeout, "ingest deadline exceeded")
-		default:
-			httpError(w, http.StatusBadRequest, "reading body: "+err.Error())
-		}
-		return
-	}
-	obs.Active().ServerBytesIn(int64(len(data)))
-	regStart := time.Now()
-	sc, err := s.reg.Put(name, data)
-	tr.AddSince(obs.SpanRegistry, regStart)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusCreated, infoFor(sc))
-}
-
-func validateName(name string) error {
-	if name == "" || len(name) > 128 {
-		return errors.New("column name must be 1..128 bytes")
-	}
-	if strings.ContainsAny(name, "/\\ \t\n") {
-		return errors.New("column name must not contain slashes or whitespace")
-	}
+func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) error {
+	WriteJSON(w, http.StatusOK, map[string]any{"columns": s.svc.Names()})
 	return nil
 }
 
-func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"columns": s.reg.Names()})
-}
-
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	sc, ok := s.getColumn(w, r)
-	if !ok {
-		return
+func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) error {
+	c, err := s.column(r)
+	if err != nil {
+		return err
 	}
-	writeJSON(w, http.StatusOK, infoFor(sc))
+	WriteJSON(w, http.StatusOK, c.Info())
+	return nil
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if !s.reg.Delete(name) {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no column %q", name))
-		return
+func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
+	if err := s.svc.Delete(r.Context(), r.PathValue("name")); err != nil {
+		return err
 	}
 	w.WriteHeader(http.StatusNoContent)
+	return nil
 }
 
 // aggResponse carries FilterAgg results. Sum, Min and Max are strings
@@ -705,49 +779,6 @@ type aggResponse struct {
 
 func fmtFloat(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
-// parseRowGroups resolves the ?rgs= parameter: a comma-separated list
-// of row-group indexes (partials mode) selecting which row-groups to
-// answer for. nil means all.
-func parseRowGroups(q url.Values, numRG int) ([]int, error) {
-	raw := q.Get("rgs")
-	if raw == "" {
-		return nil, nil
-	}
-	parts := strings.Split(raw, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		g, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || g < 0 || g >= numRG {
-			return nil, fmt.Errorf("rgs entries must be row-group indexes in [0, %d)", numRG)
-		}
-		out = append(out, g)
-	}
-	return out, nil
-}
-
-// parseRowGroupRange resolves the ?rg_lo= / ?rg_hi= parameters (ranged
-// scans and exports). Absent parameters default to the full range;
-// either may be given alone.
-func parseRowGroupRange(q url.Values, numRG int) (lo, hi int, ranged bool, err error) {
-	lo, hi = 0, numRG-1
-	if v := q.Get("rg_lo"); v != "" {
-		if lo, err = strconv.Atoi(v); err != nil {
-			return 0, 0, false, fmt.Errorf("rg_lo must be an integer")
-		}
-		ranged = true
-	}
-	if v := q.Get("rg_hi"); v != "" {
-		if hi, err = strconv.Atoi(v); err != nil {
-			return 0, 0, false, fmt.Errorf("rg_hi must be an integer")
-		}
-		ranged = true
-	}
-	if ranged && (lo < 0 || hi < lo || hi >= numRG) {
-		return 0, 0, false, fmt.Errorf("row-group range [%d, %d] out of [0, %d)", lo, hi, numRG)
-	}
-	return lo, hi, ranged, nil
-}
-
 // aggPartialWire is one row-group's partial aggregate in the
 // partials=rowgroups response; float fields use the same exact 'g'/-1
 // encoding as aggResponse so merging coordinators round-trip bits.
@@ -758,63 +789,37 @@ type aggPartialWire struct {
 	Max   string `json:"max"`
 }
 
-// aggQuery parses what /agg and /count share: the predicate, the
-// ?threads= hint and, with ?partials=rowgroups, the ?rgs= subset of the
-// column's rowGroups. It writes the 400 itself and returns ok=false on
-// a bad parameter.
-func aggQuery(w http.ResponseWriter, q url.Values, rowGroups int) (pred engine.Predicate, threads int, partials bool, idxs []int, ok bool) {
-	pred, err := parsePredicate(q)
-	if err == nil {
-		threads, err = parseThreads(q)
-	}
-	partials = q.Get("partials") == "rowgroups"
-	if err == nil && partials {
-		idxs, err = parseRowGroups(q, rowGroups)
-	}
+// handleAgg answers both modes from the service's per-row-group
+// partials: returned as they are (?partials=rowgroups) or merged in
+// row-group order — the fold order that makes the answer the same at
+// any ?threads= and through a coordinator.
+func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) error {
+	c, err := s.column(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return pred, 0, false, nil, false
+		return err
 	}
-	return pred, threads, partials, idxs, true
-}
-
-// handleAgg answers both modes from one engine call: the per-row-group
-// partials, either returned as they are (?partials=rowgroups) or merged
-// in row-group order — the fold order that makes the answer the same
-// at any ?threads= and through a coordinator.
-func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
-	sc, ok := s.getColumn(w, r)
-	if !ok {
-		return
+	pred, threads, partials, idxs, err := aggQuery(r.URL.Query(), c.Info().NumRowGroups)
+	if err != nil {
+		return err
 	}
-	pred, threads, partials, idxs, ok := aggQuery(w, r.URL.Query(), len(sc.col.RowGroups))
-	if !ok {
-		return
-	}
-	if s.testHook != nil {
-		s.testHook()
-	}
+	s.hold()
 	start := time.Now()
-	parts, touched := sc.rel.FilterAggPartials(threads, pred, idxs)
+	parts, touched, err := c.AggPartials(r.Context(), pred, threads, idxs)
 	obs.TraceFrom(r.Context()).AddSince(obs.SpanEngine, start)
+	if err != nil {
+		return err
+	}
 	obs.Active().ServerScanned()
 	if partials {
 		wire := make([]aggPartialWire, len(parts))
 		for i, a := range parts {
-			wire[i] = aggPartialWire{
-				Sum:   fmtFloat(a.Sum),
-				Count: a.Count,
-				Min:   fmtFloat(a.Min),
-				Max:   fmtFloat(a.Max),
-			}
+			wire[i] = aggPartialWire{Sum: fmtFloat(a.Sum), Count: a.Count, Min: fmtFloat(a.Min), Max: fmtFloat(a.Max)}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"rowgroups": wire, "touched": touched, "threads": threads,
-		})
-		return
+		WriteJSON(w, http.StatusOK, map[string]any{"rowgroups": wire, "touched": touched, "threads": threads})
+		return nil
 	}
 	agg := engine.MergeAggs(parts)
-	writeJSON(w, http.StatusOK, aggResponse{
+	WriteJSON(w, http.StatusOK, aggResponse{
 		Sum:     fmtFloat(agg.Sum),
 		Count:   agg.Count,
 		Min:     fmtFloat(agg.Min),
@@ -822,32 +827,37 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
 		Touched: touched,
 		Threads: threads,
 	})
+	return nil
 }
 
-// handleCount mirrors handleAgg for COUNT(*): one engine call for the
-// per-row-group counts, returned as they are or summed.
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	sc, ok := s.getColumn(w, r)
-	if !ok {
-		return
+// handleCount mirrors handleAgg for COUNT(*): the per-row-group counts,
+// returned as they are or summed.
+func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) error {
+	c, err := s.column(r)
+	if err != nil {
+		return err
 	}
-	pred, threads, partials, idxs, ok := aggQuery(w, r.URL.Query(), len(sc.col.RowGroups))
-	if !ok {
-		return
+	pred, threads, partials, idxs, err := aggQuery(r.URL.Query(), c.Info().NumRowGroups)
+	if err != nil {
+		return err
 	}
 	start := time.Now()
-	counts := sc.rel.FilterCountPartials(threads, pred, idxs)
+	counts, err := c.CountPartials(r.Context(), pred, threads, idxs)
 	obs.TraceFrom(r.Context()).AddSince(obs.SpanEngine, start)
+	if err != nil {
+		return err
+	}
 	obs.Active().ServerScanned()
 	if partials {
-		writeJSON(w, http.StatusOK, map[string]any{"rowgroups": counts, "threads": threads})
-		return
+		WriteJSON(w, http.StatusOK, map[string]any{"rowgroups": counts, "threads": threads})
+		return nil
 	}
 	var count int64
-	for _, c := range counts {
-		count += c
+	for _, n := range counts {
+		count += n
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": count, "threads": threads})
+	WriteJSON(w, http.StatusOK, map[string]any{"count": count, "threads": threads})
+	return nil
 }
 
 // ScanRowsTrailer is the HTTP trailer carrying the number of rows a
@@ -876,252 +886,81 @@ func scanAcceptsCompressed(accept string) bool {
 }
 
 // handleScan streams the rows matching the predicate, in position
-// order, evaluating the predicate with zone-map skipping plus the
-// encoded-domain kernel vector-at-a-time. The wire encoding is
-// negotiated: `Accept: application/x-alp-scan` selects the framed
-// selection-aware stream (compressed per-vector payloads the client
-// decodes with the fused kernels); anything else gets the original raw
-// little-endian float64 body. Either way the response is produced
-// incrementally — a scan of a huge column never materializes more than
-// one vector — and completion is framed by the ScanRowsTrailer; if the
-// deadline fires or a write fails mid-stream the connection is aborted
-// so the client sees a transport error, never a silently short 200.
-func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	sc, ok := s.getColumn(w, r)
-	if !ok {
-		return
+// order. The wire encoding is negotiated: `Accept: application/x-alp-scan`
+// selects the framed selection-aware stream (compressed per-vector
+// payloads the client decodes with the fused kernels); anything else
+// gets raw little-endian float64s. Either way the service writes the
+// body incrementally and completion is framed by the ScanRowsTrailer.
+func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) error {
+	c, err := s.column(r)
+	if err != nil {
+		return err
 	}
 	q := r.URL.Query()
 	pred, err := parsePredicate(q)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return err
 	}
-	rgLo, rgHi, _, err := parseRowGroupRange(q, len(sc.col.RowGroups))
+	info := c.Info()
+	rgLo, rgHi, _, err := parseRowGroupRange(q, info.NumRowGroups)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return err
 	}
-	// An empty column has no row-groups: the range stays empty and the
-	// scan answers zero rows.
-	vecLo, vecHi := 0, 0
-	if len(sc.col.RowGroups) > 0 {
-		vecLo = rgLo * vector.RowGroupVectors
-		vecHi = rgHi*vector.RowGroupVectors + vector.VectorsIn(sc.col.RowGroups[rgHi].N)
+	s.hold()
+	compressed := scanAcceptsCompressed(r.Header.Get("Accept"))
+	h := w.Header()
+	h.Set("Trailer", ScanRowsTrailer)
+	h.Set("Content-Type", "application/x-alp-f64le")
+	if compressed {
+		h.Set("Content-Type", format.ScanContentType)
 	}
-	if s.testHook != nil {
-		s.testHook()
+	h.Set("X-Alp-Column-Values", strconv.Itoa(info.Values))
+	rows, err := c.Scan(r.Context(), pred, rgLo, rgHi, compressed, w)
+	obs.Active().ServerScanned()
+	if err != nil {
+		return err
 	}
-	if scanAcceptsCompressed(r.Header.Get("Accept")) {
-		s.serveScanStream(w, r, sc, pred, vecLo, vecHi)
-		return
-	}
-	w.Header().Set("Trailer", ScanRowsTrailer)
-	w.Header().Set("Content-Type", "application/x-alp-f64le")
-	w.Header().Set("X-Alp-Column-Values", strconv.Itoa(sc.col.N))
-	var sel [format.SelWords]uint64
-	out := make([]float64, vector.Size)
-	scratch := make([]int64, vector.Size)
-	raw := make([]byte, vector.Size*8)
-	col := sc.col
-	skipped, rows := 0, 0
-	o := obs.Active()
-	tr := obs.TraceFrom(r.Context())
-	timed := o != nil || tr != nil
-	var engineNs, writeNs int64
-	var batch obs.ScanBatch
-	defer func() {
-		// Runs on the abort panic too, so counters stay coherent.
-		o.VectorsSkipped(skipped)
-		o.FlushScanBatch(&batch)
-		o.ServerScanned()
-		tr.Add(obs.SpanEngine, engineNs)
-		tr.Add(obs.SpanWrite, writeNs)
-	}()
-	var t0 time.Time
-	for i := vecLo; i < vecHi; i++ {
-		if r.Context().Err() != nil {
-			// Deadline (or client gone) mid-stream: tear the connection
-			// down instead of ending the body cleanly, so the truncation
-			// is a transport error the client can see and retry.
-			panic(http.ErrAbortHandler)
-		}
-		if col.Zones != nil && !col.Zones.MayContain(i, pred.Lo, pred.Hi) {
-			skipped++
-			continue
-		}
-		if timed {
-			t0 = time.Now()
-		}
-		n, pd := col.FilterGatherVector(i, pred.Lo, pred.Hi, sel[:], out, scratch)
-		batch.Vector(n, pd)
-		if timed {
-			engineNs += time.Since(t0).Nanoseconds()
-		}
-		if n == 0 {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			binary.LittleEndian.PutUint64(raw[j*8:], math.Float64bits(out[j]))
-		}
-		if timed {
-			t0 = time.Now()
-		}
-		if _, err := w.Write(raw[:n*8]); err != nil {
-			panic(http.ErrAbortHandler)
-		}
-		if timed {
-			ns := time.Since(t0).Nanoseconds()
-			writeNs += ns
-			o.Observe(obs.HistStageHTTPWrite, ns)
-		}
-		rows += n
-	}
-	w.Header().Set(ScanRowsTrailer, strconv.Itoa(rows))
+	h.Set(ScanRowsTrailer, strconv.Itoa(rows))
+	return nil
 }
 
-// serveScanStream is the negotiated compressed scan path: one wire
-// frame per qualifying vector, each the cheapest of the stored
-// envelope + selection bitmap, a re-packed ALP vector of the selected
-// rows, or raw float64s (format.ScanWriter decides by exact byte
-// size). The stream header goes out before the first frame; abort
-// semantics and the row-count trailer match the raw path.
-func (s *Server) serveScanStream(w http.ResponseWriter, r *http.Request, sc *storedColumn, pred engine.Predicate, vecLo, vecHi int) {
-	w.Header().Set("Trailer", ScanRowsTrailer)
-	w.Header().Set("Content-Type", format.ScanContentType)
-	w.Header().Set("X-Alp-Column-Values", strconv.Itoa(sc.col.N))
-	col := sc.col
-	sw := format.NewScanWriter(col)
-	skipped, rows := 0, 0
-	o := obs.Active()
-	tr := obs.TraceFrom(r.Context())
-	timed := o != nil || tr != nil
-	var engineNs, writeNs int64
-	var batch obs.ScanBatch
-	var dense, repacked, raw, bytesSaved int64
-	defer func() {
-		// Runs on the abort panic too, so counters stay coherent.
-		o.VectorsSkipped(skipped)
-		o.FlushScanBatch(&batch)
-		o.ScanFrames(dense, repacked, raw, bytesSaved)
-		o.ServerScanned()
-		tr.Add(obs.SpanEngine, engineNs)
-		tr.Add(obs.SpanWrite, writeNs)
-	}()
-	if _, err := w.Write(format.AppendScanStreamHeader(nil)); err != nil {
-		panic(http.ErrAbortHandler)
-	}
-	var t0 time.Time
-	for i := vecLo; i < vecHi; i++ {
-		if r.Context().Err() != nil {
-			panic(http.ErrAbortHandler)
-		}
-		if col.Zones != nil && !col.Zones.MayContain(i, pred.Lo, pred.Hi) {
-			skipped++
-			continue
-		}
-		if timed {
-			t0 = time.Now()
-		}
-		frame, n, kind, pd := sw.Frame(i, pred.Lo, pred.Hi)
-		if timed {
-			engineNs += time.Since(t0).Nanoseconds()
-		}
-		batch.Vector(n, pd)
-		if n == 0 {
-			continue
-		}
-		switch kind {
-		case format.ScanFrameDense:
-			dense++
-		case format.ScanFrameRepacked:
-			repacked++
-		default:
-			raw++
-		}
-		bytesSaved += int64(8*n - len(frame))
-		if timed {
-			t0 = time.Now()
-		}
-		if _, err := w.Write(frame); err != nil {
-			panic(http.ErrAbortHandler)
-		}
-		if timed {
-			ns := time.Since(t0).Nanoseconds()
-			writeNs += ns
-			o.Observe(obs.HistStageHTTPWrite, ns)
-		}
-		rows += n
-	}
-	w.Header().Set(ScanRowsTrailer, strconv.Itoa(rows))
-}
-
-// handleData serves the column's compressed stream: the full registry
-// bytes verbatim by default (the cheapest possible export), or — with
-// ?rg_lo/?rg_hi — a standalone re-based column holding just that
-// row-group range, the raw-export half of the cluster rebalance path.
-func (s *Server) handleData(w http.ResponseWriter, r *http.Request) {
-	sc, ok := s.getColumn(w, r)
-	if !ok {
-		return
-	}
-	rgLo, rgHi, ranged, err := parseRowGroupRange(r.URL.Query(), len(sc.col.RowGroups))
+// handleData serves the column's compressed stream, or with
+// ?rg_lo/?rg_hi a standalone re-based column holding just that
+// row-group range.
+func (s *Server) handleData(w http.ResponseWriter, r *http.Request) error {
+	c, err := s.column(r)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
+		return err
+	}
+	info := c.Info()
+	rgLo, rgHi, ranged, err := parseRowGroupRange(r.URL.Query(), info.NumRowGroups)
+	if err != nil {
+		return err
+	}
+	data, err := c.Data(r.Context(), rgLo, rgHi, ranged)
+	if err != nil {
+		return err
 	}
 	w.Header().Set("Content-Type", CompressedContentType)
 	if !ranged {
-		w.Header().Set("X-Alp-Column-Values", strconv.Itoa(sc.col.N))
-		w.Write(sc.data)
-		return
+		w.Header().Set("X-Alp-Column-Values", strconv.Itoa(info.Values))
 	}
-	sl, err := format.SliceColumn(sc.col, rgLo, rgHi)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	w.Header().Set("X-Alp-Column-Values", strconv.Itoa(sl.N))
-	w.Write(sl.Marshal())
-}
-
-// handleVector ships one encoded vector as a standalone envelope; the
-// server never decodes it.
-func (s *Server) handleVector(w http.ResponseWriter, r *http.Request) {
-	sc, ok := s.getColumn(w, r)
-	if !ok {
-		return
-	}
-	i, err := strconv.Atoi(r.PathValue("i"))
-	if err != nil || i < 0 || i >= sc.col.NumVectors() {
-		httpError(w, http.StatusNotFound,
-			fmt.Sprintf("vector index out of range [0, %d)", sc.col.NumVectors()))
-		return
-	}
-	env, err := sc.col.MarshalVector(i)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-alp-vector")
-	w.Header().Set("X-Alp-Vector-Values", strconv.Itoa(sc.col.VectorLen(i)))
-	w.Write(env)
+	w.Write(data)
+	return nil
 }
 
 // handleMetrics serves the codec + service counter snapshot as JSON —
 // the same shape alpbench -metrics exposes (counters plus the
-// lat_*/stage_* latency-histogram keys), spliced with a "columns"
-// object holding per-column registry stats and, when the history
+// lat_*/stage_* latency-histogram keys), spliced with the service's
+// extras (alpserved's per-column "columns" object, alpclusterd's
+// cluster_* and per-backend latency keys) and, when the history
 // recorder is on, a "metrics_history" object with its footprint. Keys
 // are emitted in sorted order, so two reads of identical state are
 // byte-identical — diff-friendly for scrape tooling. Not gated: a
 // draining or saturated server must stay observable.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	extras := make([]obs.Extra, 0, 2)
-	if cols, err := json.Marshal(s.reg.Stats()); err == nil {
-		extras = append(extras, obs.Extra{Name: "columns", JSON: string(cols)})
-	}
+	extras := s.svc.MetricsExtras()
 	if st := s.opts.MetricsHistory; st != nil {
 		if hs, err := json.Marshal(st.Stats()); err == nil {
 			extras = append(extras, obs.Extra{Name: "metrics_history", JSON: string(hs)})
@@ -1141,7 +980,7 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, _ *http.Request) {
 // answer HTTP at all — a draining server is still alive, so restarts
 // keyed to this probe do not kill a graceful shutdown mid-drain.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 }
 
 // handleReady is the readiness probe: it flips to 503 the moment a
@@ -1152,5 +991,5 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }

@@ -1,15 +1,12 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -268,146 +265,6 @@ func TestRegistryLifecycle(t *testing.T) {
 	}
 }
 
-func TestBadRequests(t *testing.T) {
-	srv, cl := newTestServer(t, Options{MaxBodyBytes: 4096})
-	ctx := context.Background()
-	if _, err := cl.Ingest(ctx, "col", dataset(128, 7)); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	noRetry := client.New(ts.URL, client.WithRetries(0))
-
-	// Bad predicate parameter.
-	resp, err := http.Get(ts.URL + "/v1/columns/col/agg?ge=not-a-float")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad predicate: status %d, want 400", resp.StatusCode)
-	}
-
-	// A repeated parameter is legal (the bounds intersect), but every
-	// occurrence must still parse.
-	resp, err = http.Get(ts.URL + "/v1/columns/col/agg?ge=1&ge=bad")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unparseable repeated predicate: status %d, want 400", resp.StatusCode)
-	}
-
-	// Bad threads.
-	resp, err = http.Get(ts.URL + "/v1/columns/col/agg?threads=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad threads: status %d, want 400", resp.StatusCode)
-	}
-
-	// Misaligned ingest body.
-	resp, err = http.Post(ts.URL+"/v1/columns/misaligned", "application/x-alp-f64le",
-		strings.NewReader("12345"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("misaligned body: status %d, want 400", resp.StatusCode)
-	}
-
-	// Oversized ingest body (cap is 4096 bytes = 512 values).
-	if _, err := noRetry.Ingest(ctx, "big", make([]float64, 1024)); err == nil {
-		t.Error("oversized ingest did not error")
-	} else if !errors.As(err, new(*client.APIError)) {
-		t.Errorf("oversized ingest: %v, want APIError", err)
-	}
-
-	// Bad column name.
-	resp, err = http.Post(ts.URL+"/v1/columns/bad%2Fname", "application/x-alp-f64le",
-		bytes.NewReader(make([]byte, 16)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad name: status %d, want 400", resp.StatusCode)
-	}
-
-	// Unknown column.
-	resp, err = http.Get(ts.URL + "/v1/columns/nope/agg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown column: status %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestLoadShedding proves the limiter returns 429 (not queue collapse)
-// past the concurrency cap: with MaxConcurrent=2 and both slots held,
-// a further request is shed immediately with Retry-After.
-func TestLoadShedding(t *testing.T) {
-	srv := New(Options{MaxConcurrent: 2, RetryAfter: 3 * time.Second})
-	hold := make(chan struct{})
-	entered := make(chan struct{}, 16)
-	srv.testHook = func() {
-		entered <- struct{}{}
-		<-hold
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	ctx := context.Background()
-	cl := client.New(ts.URL)
-	if _, err := cl.Ingest(ctx, "col", dataset(2048, 8)); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-
-	// Occupy both slots with hung scans.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/v1/columns/col/agg")
-			if err == nil {
-				resp.Body.Close()
-			}
-		}()
-	}
-	<-entered
-	<-entered
-
-	// The third request must be shed, not queued.
-	start := time.Now()
-	resp, err := http.Get(ts.URL + "/v1/columns/col/agg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("saturated request: status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Errorf("Retry-After = %q, want \"3\"", ra)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("shed response took %v; limiter queued instead of shedding", elapsed)
-	}
-
-	// Release the held scans; capacity returns.
-	close(hold)
-	wg.Wait()
-	if _, err := cl.Agg(ctx, "col", client.All()); err != nil {
-		t.Fatalf("agg after release: %v", err)
-	}
-}
-
 // TestClientRetriesShedLoad proves the client rides through shed load:
 // the server 429s the first two attempts, then succeeds.
 func TestClientRetriesShedLoad(t *testing.T) {
@@ -474,99 +331,6 @@ func TestClientRetriesShedLoad(t *testing.T) {
 	if st := noRetry.Stats(); st.Shed != 1 || st.Retries != 0 || st.BackoffNs != 0 {
 		t.Errorf("no-retry Stats() = %+v, want one shed, no retries, no backoff", st)
 	}
-}
-
-// TestGracefulShutdown proves in-flight scans complete while new
-// requests are refused during a drain.
-func TestGracefulShutdown(t *testing.T) {
-	srv := New(Options{})
-	hold := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	srv.testHook = func() {
-		entered <- struct{}{}
-		<-hold
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	ctx := context.Background()
-	cl := client.New(ts.URL)
-	values := dataset(4096, 10)
-	if _, err := cl.Ingest(ctx, "col", values); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-
-	// Start a scan that parks inside the handler.
-	type aggOut struct {
-		agg client.Agg
-		err error
-	}
-	inflight := make(chan aggOut, 1)
-	noRetry := client.New(ts.URL, client.WithRetries(0))
-	go func() {
-		a, err := noRetry.Agg(ctx, "col", client.All())
-		inflight <- aggOut{a, err}
-	}()
-	<-entered
-
-	// Drain in the background; it must block on the in-flight scan.
-	drainDone := make(chan error, 1)
-	go func() {
-		dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		drainDone <- srv.Shutdown(dctx)
-	}()
-
-	// Wait for the drain to take effect before probing, so no probe is
-	// admitted and parked on the test hook.
-	deadline := time.Now().Add(5 * time.Second)
-	for !srv.gate.isDraining() {
-		if time.Now().After(deadline) {
-			t.Fatal("Shutdown never started draining")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// New requests are refused with 503 while the drain waits.
-	resp, err := http.Get(ts.URL + "/v1/columns/col/agg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining server admitted a request (status %d), want 503", resp.StatusCode)
-	}
-	if ok, err := cl.Health(ctx); err != nil || ok {
-		t.Errorf("health during drain = (%v, %v), want (false, nil)", ok, err)
-	}
-	select {
-	case err := <-drainDone:
-		t.Fatalf("Shutdown returned %v with a scan still in flight", err)
-	default:
-	}
-
-	// Release the parked scan: it completes with a full result, and
-	// only then does Shutdown return.
-	close(hold)
-	out := <-inflight
-	if out.err != nil {
-		t.Fatalf("in-flight scan failed during drain: %v", out.err)
-	}
-	if out.agg.Count != int64(countNonNaN(values)) {
-		t.Errorf("in-flight scan count = %d, want %d", out.agg.Count, countNonNaN(values))
-	}
-	if err := <-drainDone; err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-}
-
-func countNonNaN(values []float64) int {
-	n := 0
-	for _, v := range values {
-		if !math.IsNaN(v) {
-			n++
-		}
-	}
-	return n
 }
 
 // TestMetricsEndpoint checks the service counters flow through
@@ -725,38 +489,6 @@ func TestScanDeadlineSurfacesAsError(t *testing.T) {
 	}
 	if len(rows) != 0 {
 		t.Fatalf("empty scan returned %d rows", len(rows))
-	}
-}
-
-// TestIngestStalledBodyTimesOut proves a client trickling an ingest
-// body cannot hold an admission slot past the request deadline: the
-// connection-level read deadline bounds the stalled Read.
-func TestIngestStalledBodyTimesOut(t *testing.T) {
-	srv := New(Options{RequestTimeout: 200 * time.Millisecond})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "POST /v1/columns/slow HTTP/1.1\r\nHost: alpserved\r\n"+
-		"Content-Type: application/x-alp-f64le\r\nContent-Length: 4096\r\n\r\n")
-	conn.Write(make([]byte, 16)) // a sliver of body, then stall forever
-
-	start := time.Now()
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatalf("server never answered the stalled ingest: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestTimeout {
-		t.Errorf("stalled ingest: status %d, want 408", resp.StatusCode)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("stalled ingest held its slot for %v; read deadline did not fire", elapsed)
 	}
 }
 
