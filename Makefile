@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-snapshot bench-module fuzz-smoke serve-smoke server-race mon-smoke cluster-race cluster-smoke lint gauntlet gauntlet-check check clean
+.PHONY: all build vet test race bench-smoke bench-module fuzz-smoke serve-smoke server-race mon-smoke cluster-race cluster-smoke lint gauntlet gauntlet-check check clean
 
 all: check
 
@@ -37,25 +37,20 @@ bench-smoke:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
 
-# The dated core-throughput snapshot: encode/decode/filter MV/s over
-# three dataset shapes, plus the served_scan selectivity sweep
-# (in-process vs compressed ALPS wire vs raw float64s over loopback
-# HTTP), written to BENCH_core.json. Non-gating — CI uploads it as an
-# artifact so performance drift is a diff, not a build break.
-bench-snapshot:
-	$(GO) run ./cmd/alpbench -snapshot BENCH_core.json
-	@cat BENCH_core.json
-
 # Short coverage-guided fuzzing runs on top of the checked-in seed
 # corpora (testdata/fuzz/): round-trip losslessness on arbitrary bit
 # patterns, no-panic + ErrCorrupt on mutated streams, differential
-# pushdown-vs-naive filtered aggregates under fuzzed predicates, and
-# the scan-stream frame decoder (length/CRC/bitmap-cardinality lies).
+# pushdown-vs-naive filtered aggregates under fuzzed predicates, the
+# scan-stream frame decoder (length/CRC/bitmap-cardinality lies), the
+# single-vector envelope decoder, and ALPM metric snapshots (fuzzed
+# body, recomputed CRC).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 13s .
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 13s .
 	$(GO) test -run '^$$' -fuzz FuzzPushdownAgainstNaive -fuzztime 13s .
 	$(GO) test -run '^$$' -fuzz FuzzScanFrameDecode -fuzztime 13s .
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEncodedVector -fuzztime 13s .
+	$(GO) test -run '^$$' -fuzz FuzzReadStore -fuzztime 13s ./internal/metricstore
 
 # End-to-end smoke of the column service: build the real alpserved
 # binary, boot it on an ephemeral port, run an ingest -> scan -> agg

@@ -276,17 +276,16 @@ func DecodeEncodedVector(data []byte, dst []float64) (int, error) {
 }
 
 // ScanStreamContentType is the media type of the selection-aware scan
-// stream (the "ALPS" framed wire format): a client sends it in an
-// Accept header to receive a filtered scan as compressed per-vector
-// frames instead of raw little-endian float64s, and decodes the body
-// with DecodeScanStream.
+// stream (the "ALPS" framed wire format): the body every served /scan
+// answers with, a filtered scan as compressed per-vector frames, which
+// DecodeScanStream decodes.
 const ScanStreamContentType = format.ScanContentType
 
 // BuildScanStream encodes the rows of the column in [lo, hi] as a
 // selection-aware scan stream — the same framed body alpserved streams
-// for Accept: application/x-alp-scan — and returns it with the total
-// row count. Useful for fixtures and offline transport; servers stream
-// frame-at-a-time instead of buffering.
+// for /scan — and returns it with the total row count. Useful for
+// fixtures and offline transport; servers stream frame-at-a-time
+// instead of buffering.
 func (c *Column) BuildScanStream(lo, hi float64) ([]byte, int) {
 	return format.BuildScanStream(c.col, lo, hi)
 }

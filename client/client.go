@@ -14,7 +14,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -158,11 +157,9 @@ func retryable(status int) bool {
 }
 
 // do runs one API call with retries. body may be nil; it is replayed
-// from the byte slice on every attempt. accept, when non-empty, is sent
-// as the Accept header on every attempt (content negotiation, e.g. the
-// compressed scan stream). The response body bytes are returned for
-// 2xx responses.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, body []byte, contentType, accept string) ([]byte, http.Header, error) {
+// from the byte slice on every attempt. The response body bytes are
+// returned for 2xx responses.
+func (c *Client) do(ctx context.Context, method, path string, query url.Values, body []byte, contentType string) ([]byte, http.Header, error) {
 	u := c.base + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -192,9 +189,6 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		req.Header.Set(RequestIDHeader, reqID)
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
-		}
-		if accept != "" {
-			req.Header.Set("Accept", accept)
 		}
 		resp, err := c.hc.Do(req)
 		var wait time.Duration
@@ -391,12 +385,51 @@ type Agg struct {
 	Touched int
 }
 
+// aggWire is one aggregate of an /agg answer or one of its partials.
+// The client reads each float from its exact-bits field, Float64bits as
+// 16 hex digits, so a NaN keeps its payload; the shortest-'g' strings
+// the server also sends are read only when the bits are absent.
 type aggWire struct {
 	Sum     string `json:"sum"`
+	SumBits string `json:"sum_bits"`
 	Count   int64  `json:"count"`
 	Min     string `json:"min"`
+	MinBits string `json:"min_bits"`
 	Max     string `json:"max"`
+	MaxBits string `json:"max_bits"`
 	Touched int    `json:"touched"`
+}
+
+func (w aggWire) decode() (Agg, error) {
+	out := Agg{Count: w.Count, Touched: w.Touched}
+	var err error
+	if out.Sum, err = wireFloat("sum", w.SumBits, w.Sum); err != nil {
+		return Agg{}, err
+	}
+	if out.Min, err = wireFloat("min", w.MinBits, w.Min); err != nil {
+		return Agg{}, err
+	}
+	if out.Max, err = wireFloat("max", w.MaxBits, w.Max); err != nil {
+		return Agg{}, err
+	}
+	return out, nil
+}
+
+// wireFloat decodes one float of the agg wire from its bits field, or
+// from its 'g' string when the bits are absent.
+func wireFloat(field, bits, g string) (float64, error) {
+	if bits != "" {
+		u, err := strconv.ParseUint(bits, 16, 64)
+		if err != nil || len(bits) != 16 {
+			return 0, fmt.Errorf("alpserved: bad agg %s_bits %q", field, bits)
+		}
+		return math.Float64frombits(u), nil
+	}
+	x, err := strconv.ParseFloat(g, 64)
+	if err != nil {
+		return 0, fmt.Errorf("alpserved: bad agg %s %q", field, g)
+	}
+	return x, nil
 }
 
 // ---- API methods ----
@@ -409,7 +442,7 @@ func (c *Client) Ingest(ctx context.Context, name string, values []float64) (Col
 	for i, v := range values {
 		binary.LittleEndian.PutUint64(body[i*8:], math.Float64bits(v))
 	}
-	payload, _, err := c.do(ctx, http.MethodPost, "/v1/columns/"+url.PathEscape(name), nil, body, "application/x-alp-f64le", "")
+	payload, _, err := c.do(ctx, http.MethodPost, "/v1/columns/"+url.PathEscape(name), nil, body, "application/x-alp-f64le")
 	if err != nil {
 		return ColumnInfo{}, err
 	}
@@ -426,7 +459,7 @@ func (c *Client) Ingest(ctx context.Context, name string, values []float64) (Col
 // evaluating the same predicate in-process over the same values, at
 // any thread count.
 func (c *Client) Agg(ctx context.Context, name string, p Predicate) (Agg, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/agg", p.query(), nil, "", "")
+	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/agg", p.query(), nil, "")
 	if err != nil {
 		return Agg{}, err
 	}
@@ -434,23 +467,13 @@ func (c *Client) Agg(ctx context.Context, name string, p Predicate) (Agg, error)
 	if err := json.Unmarshal(payload, &w); err != nil {
 		return Agg{}, fmt.Errorf("alpserved: bad agg response: %w", err)
 	}
-	out := Agg{Count: w.Count, Touched: w.Touched}
-	if out.Sum, err = strconv.ParseFloat(w.Sum, 64); err != nil {
-		return Agg{}, fmt.Errorf("alpserved: bad agg sum %q", w.Sum)
-	}
-	if out.Min, err = strconv.ParseFloat(w.Min, 64); err != nil {
-		return Agg{}, fmt.Errorf("alpserved: bad agg min %q", w.Min)
-	}
-	if out.Max, err = strconv.ParseFloat(w.Max, 64); err != nil {
-		return Agg{}, fmt.Errorf("alpserved: bad agg max %q", w.Max)
-	}
-	return out, nil
+	return w.decode()
 }
 
 // Count runs SELECT COUNT(*) WHERE p server-side; on pushdown-capable
 // vectors no qualifying row is materialized at all.
 func (c *Client) Count(ctx context.Context, name string, p Predicate) (int64, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/count", p.query(), nil, "", "")
+	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/count", p.query(), nil, "")
 	if err != nil {
 		return 0, err
 	}
@@ -465,52 +488,27 @@ func (c *Client) Count(ctx context.Context, name string, p Predicate) (int64, er
 
 // Scan returns the rows matching p, in position order, filtered
 // server-side, bit-identical to filtering the decoded column locally.
-// It negotiates the compressed selection-aware stream (Accept:
-// application/x-alp-scan): the server ships framed per-vector payloads
-// — stored envelopes with selection bitmaps, re-packed ALP vectors, or
-// raw float64s, whichever is smallest — and the client decodes them
-// with the fused unpack+gather kernels, so wire bytes track compressed
-// size rather than 8 bytes per row. A server that does not speak the
-// compressed encoding answers with raw float64s, which decode the same
-// way ScanRaw does. Either way the server frames completion with a
-// trailing row count (written only when the scan ran to the end) and
-// aborts the connection if its deadline fires mid-stream, so a
-// truncated or corrupted response surfaces as an error here — never as
-// a silently partial result.
+// The server answers with the ALPS selection-aware stream: framed
+// per-vector payloads — stored envelopes with selection bitmaps,
+// re-packed ALP vectors, or raw float64s, whichever is smallest — which
+// the client decodes with the fused unpack+gather kernels, so wire
+// bytes track compressed size rather than 8 bytes per row. The server
+// frames completion with a trailing row count (written only when the
+// scan ran to the end) and aborts the connection if its deadline fires
+// mid-stream, so a truncated or corrupted response — or a body that is
+// not an ALPS stream at all — surfaces as an error here, never as a
+// silently partial result.
 func (c *Client) Scan(ctx context.Context, name string, p Predicate) ([]float64, error) {
-	return c.scan(ctx, name, p, alp.ScanStreamContentType)
-}
-
-// ScanRaw runs the same server-side filtered scan over the original
-// uncompressed wire encoding: raw little-endian float64s, one per
-// selected row. It exists for old servers and as the differential
-// comparand for the compressed stream.
-func (c *Client) ScanRaw(ctx context.Context, name string, p Predicate) ([]float64, error) {
-	return c.scan(ctx, name, p, "")
-}
-
-func (c *Client) scan(ctx context.Context, name string, p Predicate, accept string) ([]float64, error) {
-	payload, hdr, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/scan", p.query(), nil, "", accept)
+	payload, rows, err := c.ScanRange(ctx, name, p, -1, -1)
 	if err != nil {
 		return nil, err
 	}
-	var out []float64
-	// The response Content-Type — not the request Accept — decides the
-	// decoder, so a server that ignores the negotiation still decodes
-	// correctly.
-	if ct := hdr.Get("Content-Type"); ct == alp.ScanStreamContentType {
-		if out, err = alp.DecodeScanStream(payload); err != nil {
-			return nil, fmt.Errorf("alpserved: scan stream: %w", err)
-		}
-	} else if out, err = decodeF64LE(payload); err != nil {
-		return nil, err
+	out, err := alp.DecodeScanStream(payload)
+	if err != nil {
+		return nil, fmt.Errorf("alpserved: scan stream: %w", err)
 	}
-	rows := hdr.Get("X-Alp-Scan-Rows")
-	if rows == "" {
-		return nil, errors.New("alpserved: scan response truncated (no completion trailer)")
-	}
-	if n, err := strconv.Atoi(rows); err != nil || n != len(out) {
-		return nil, fmt.Errorf("alpserved: scan returned %d rows, server sent %s", len(out), rows)
+	if len(out) != rows {
+		return nil, fmt.Errorf("alpserved: scan returned %d rows, server sent %d", len(out), rows)
 	}
 	return out, nil
 }
@@ -518,7 +516,7 @@ func (c *Client) scan(ctx context.Context, name string, p Predicate, accept stri
 // Compressed fetches the column's full ALP stream — the bytes the
 // server stores, usable with alp.Open / alp.Decode.
 func (c *Client) Compressed(ctx context.Context, name string) ([]byte, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/data", nil, nil, "", "")
+	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/data", nil, nil, "")
 	return payload, err
 }
 
@@ -537,7 +535,7 @@ func (c *Client) Values(ctx context.Context, name string) ([]float64, error) {
 // ships the vector's packed payload verbatim.
 func (c *Client) Vector(ctx context.Context, name string, i int) ([]float64, error) {
 	payload, _, err := c.do(ctx, http.MethodGet,
-		"/v1/columns/"+url.PathEscape(name)+"/vectors/"+strconv.Itoa(i), nil, nil, "", "")
+		"/v1/columns/"+url.PathEscape(name)+"/vectors/"+strconv.Itoa(i), nil, nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -551,7 +549,7 @@ func (c *Client) Vector(ctx context.Context, name string, i int) ([]float64, err
 
 // Info fetches the column's shape.
 func (c *Client) Info(ctx context.Context, name string) (ColumnInfo, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name), nil, nil, "", "")
+	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name), nil, nil, "")
 	if err != nil {
 		return ColumnInfo{}, err
 	}
@@ -564,7 +562,7 @@ func (c *Client) Info(ctx context.Context, name string) (ColumnInfo, error) {
 
 // List returns the names of the served columns.
 func (c *Client) List(ctx context.Context) ([]string, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns", nil, nil, "", "")
+	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns", nil, nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -579,14 +577,14 @@ func (c *Client) List(ctx context.Context) ([]string, error) {
 
 // Delete drops a column.
 func (c *Client) Delete(ctx context.Context, name string) error {
-	_, _, err := c.do(ctx, http.MethodDelete, "/v1/columns/"+url.PathEscape(name), nil, nil, "", "")
+	_, _, err := c.do(ctx, http.MethodDelete, "/v1/columns/"+url.PathEscape(name), nil, nil, "")
 	return err
 }
 
 // Metrics fetches the server's counter snapshot (the /metrics JSON) as
 // a name -> value map; bit_width_hist is omitted.
 func (c *Client) Metrics(ctx context.Context) (map[string]int64, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/metrics", nil, nil, "", "")
+	payload, _, err := c.do(ctx, http.MethodGet, "/metrics", nil, nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -620,15 +618,4 @@ func (c *Client) Health(ctx context.Context) (bool, error) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK, nil
-}
-
-func decodeF64LE(payload []byte) ([]float64, error) {
-	if len(payload)%8 != 0 {
-		return nil, errors.New("alpserved: scan payload not a multiple of 8 bytes")
-	}
-	out := make([]float64, len(payload)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-	}
-	return out, nil
 }

@@ -14,25 +14,16 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-
-	"github.com/goalp/alp"
 )
 
 // AggPartial is one row-group's partial aggregate from a
 // partials=rowgroups query. Sum/Min/Max round-trip bit-exactly through
-// the wire's 'g'/-1 string encoding.
+// the wire's exact-bits fields.
 type AggPartial struct {
 	Sum   float64
 	Count int64
 	Min   float64
 	Max   float64
-}
-
-type aggPartialWire struct {
-	Sum   string `json:"sum"`
-	Count int64  `json:"count"`
-	Min   string `json:"min"`
-	Max   string `json:"max"`
 }
 
 // CompressedContentType marks a body holding a marshaled ALP column
@@ -65,29 +56,24 @@ func (c *Client) AggPartials(ctx context.Context, name string, p Predicate, rgs 
 	q := p.query()
 	q.Set("partials", "rowgroups")
 	rgList(q, rgs)
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/agg", q, nil, "", "")
+	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/agg", q, nil, "")
 	if err != nil {
 		return nil, 0, err
 	}
 	var w struct {
-		RowGroups []aggPartialWire `json:"rowgroups"`
-		Touched   int              `json:"touched"`
+		RowGroups []aggWire `json:"rowgroups"`
+		Touched   int       `json:"touched"`
 	}
 	if err := json.Unmarshal(payload, &w); err != nil {
 		return nil, 0, fmt.Errorf("alpserved: bad agg partials response: %w", err)
 	}
 	out := make([]AggPartial, len(w.RowGroups))
 	for i, pw := range w.RowGroups {
-		out[i].Count = pw.Count
-		if out[i].Sum, err = strconv.ParseFloat(pw.Sum, 64); err != nil {
-			return nil, 0, fmt.Errorf("alpserved: bad partial sum %q", pw.Sum)
+		a, err := pw.decode()
+		if err != nil {
+			return nil, 0, err
 		}
-		if out[i].Min, err = strconv.ParseFloat(pw.Min, 64); err != nil {
-			return nil, 0, fmt.Errorf("alpserved: bad partial min %q", pw.Min)
-		}
-		if out[i].Max, err = strconv.ParseFloat(pw.Max, 64); err != nil {
-			return nil, 0, fmt.Errorf("alpserved: bad partial max %q", pw.Max)
-		}
+		out[i] = AggPartial{Sum: a.Sum, Count: a.Count, Min: a.Min, Max: a.Max}
 	}
 	return out, w.Touched, nil
 }
@@ -98,7 +84,7 @@ func (c *Client) CountPartials(ctx context.Context, name string, p Predicate, rg
 	q := p.query()
 	q.Set("partials", "rowgroups")
 	rgList(q, rgs)
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/count", q, nil, "", "")
+	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/count", q, nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -111,17 +97,15 @@ func (c *Client) CountPartials(ctx context.Context, name string, p Predicate, rg
 	return w.RowGroups, nil
 }
 
-// ScanRange fetches the raw scan payload for the row-group range
+// ScanRange fetches the ALPS scan stream of the row-group range
 // [rgLo, rgHi] (inclusive, server-local indexes; pass -1, -1 for the
-// whole column) without decoding it, returning the body bytes, the
-// response content type and the server's completion-trailer row count.
-// compressed selects the framed ALPS stream; false keeps raw
-// little-endian float64s. Both encodings are concatenable across
-// ranges (ALPS after stripping the 5-byte stream header of subsequent
-// chunks), which is what a scatter-gather coordinator does with them.
-// A response without the completion trailer is an error — truncation
-// never passes silently.
-func (c *Client) ScanRange(ctx context.Context, name string, p Predicate, rgLo, rgHi int, compressed bool) ([]byte, string, int, error) {
+// whole column) without decoding it, returning the body bytes and the
+// server's completion-trailer row count. Streams of consecutive ranges
+// concatenate once the 5-byte stream header of every chunk after the
+// first is stripped, which is what a scatter-gather coordinator does
+// with them. A response without the completion trailer is an error —
+// truncation never passes silently.
+func (c *Client) ScanRange(ctx context.Context, name string, p Predicate, rgLo, rgHi int) ([]byte, int, error) {
 	q := p.query()
 	if rgLo >= 0 {
 		q.Set("rg_lo", strconv.Itoa(rgLo))
@@ -129,23 +113,19 @@ func (c *Client) ScanRange(ctx context.Context, name string, p Predicate, rgLo, 
 	if rgHi >= 0 {
 		q.Set("rg_hi", strconv.Itoa(rgHi))
 	}
-	accept := ""
-	if compressed {
-		accept = alp.ScanStreamContentType
-	}
-	payload, hdr, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/scan", q, nil, "", accept)
+	payload, hdr, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/scan", q, nil, "")
 	if err != nil {
-		return nil, "", 0, err
+		return nil, 0, err
 	}
 	rows := hdr.Get("X-Alp-Scan-Rows")
 	if rows == "" {
-		return nil, "", 0, errors.New("alpserved: scan response truncated (no completion trailer)")
+		return nil, 0, errors.New("alpserved: scan response truncated (no completion trailer)")
 	}
 	n, err := strconv.Atoi(rows)
 	if err != nil || n < 0 {
-		return nil, "", 0, fmt.Errorf("alpserved: bad scan row trailer %q", rows)
+		return nil, 0, fmt.Errorf("alpserved: bad scan row trailer %q", rows)
 	}
-	return payload, hdr.Get("Content-Type"), n, nil
+	return payload, n, nil
 }
 
 // DataRange exports the compressed stream of the row-group range
@@ -160,7 +140,7 @@ func (c *Client) DataRange(ctx context.Context, name string, rgLo, rgHi int) ([]
 	if rgHi >= 0 {
 		q.Set("rg_hi", strconv.Itoa(rgHi))
 	}
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/data", q, nil, "", "")
+	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/data", q, nil, "")
 	return payload, err
 }
 
@@ -169,7 +149,7 @@ func (c *Client) DataRange(ctx context.Context, name string, rgLo, rgHi int) ([]
 // re-encode, the ingest half of a rebalance move. The server validates
 // the stream before binding it.
 func (c *Client) IngestCompressed(ctx context.Context, name string, data []byte) (ColumnInfo, error) {
-	payload, _, err := c.do(ctx, http.MethodPost, "/v1/columns/"+url.PathEscape(name), nil, data, CompressedContentType, "")
+	payload, _, err := c.do(ctx, http.MethodPost, "/v1/columns/"+url.PathEscape(name), nil, data, CompressedContentType)
 	if err != nil {
 		return ColumnInfo{}, err
 	}

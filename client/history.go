@@ -71,7 +71,7 @@ type historyWire struct {
 // plus the store's footprint. A server running without
 // -metrics-history returns an APIError with StatusCode 404.
 func (c *Client) MetricsSeries(ctx context.Context) ([]string, HistoryStats, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/metrics/history", nil, nil, "", "")
+	payload, _, err := c.do(ctx, http.MethodGet, "/v1/metrics/history", nil, nil, "")
 	if err != nil {
 		return nil, HistoryStats{}, err
 	}
@@ -101,7 +101,7 @@ func (c *Client) MetricsHistory(ctx context.Context, metric string, since, until
 	if agg != "" {
 		q.Set("agg", agg)
 	}
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/metrics/history", q, nil, "", "")
+	payload, _, err := c.do(ctx, http.MethodGet, "/v1/metrics/history", q, nil, "")
 	if err != nil {
 		return HistoryResult{}, err
 	}

@@ -33,12 +33,11 @@ import (
 	"github.com/goalp/alp"
 	"github.com/goalp/alp/internal/bench"
 	"github.com/goalp/alp/internal/dataset"
-	"github.com/goalp/alp/internal/servedbench"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all, fig1, table2, fig3, table4, table5, fig4, fig5, sampling, table6, fig6, table7, alprd, filter, parallel, servedscan")
+		exp     = flag.String("exp", "all", "experiment: all, fig1, table2, fig3, table4, table5, fig4, fig5, sampling, table6, fig6, table7, alprd, filter, parallel")
 		n       = flag.Int("n", dataset.DefaultN, "values per dataset")
 		ghz     = flag.Float64("ghz", bench.DefaultGHz, "CPU clock in GHz for tuples-per-cycle conversion")
 		minDur  = flag.Duration("mindur", 20*time.Millisecond, "minimum measurement window per timing point")
@@ -47,38 +46,8 @@ func main() {
 		encWork = flag.String("encworkers", "1,2,4,8", "worker counts for the parallel pipeline experiment")
 		metrics = flag.String("metrics", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :6060) and enable stats collection")
 		stats   = flag.Bool("stats", false, "enable stats collection and print the final snapshot to stderr")
-		snap    = flag.String("snapshot", "", "write the core throughput snapshot (encode/decode/filter MV/s as JSON) to this file and exit (\"-\" = stdout)")
 	)
 	flag.Parse()
-
-	if *snap != "" {
-		out := os.Stdout
-		if *snap != "-" {
-			f, err := os.Create(*snap)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "alpbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		sopt := bench.Options{N: *n, GHz: *ghz, MinDur: *minDur}
-		served, err := servedbench.Measure(*n, sopt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "alpbench: served-scan sweep:", err)
-			os.Exit(1)
-		}
-		clustered, err := servedbench.MeasureClusteredAgg(*n, []int{1, 2, 4}, sopt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "alpbench: clustered-agg scaling:", err)
-			os.Exit(1)
-		}
-		if err := bench.RunSnapshot(out, sopt, served, clustered); err != nil {
-			fmt.Fprintln(os.Stderr, "alpbench: snapshot:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *metrics != "" || *stats {
 		alp.EnableStats()
@@ -130,7 +99,7 @@ func main() {
 	known := map[string]bool{"all": true, "fig1": true, "table2": true, "fig3": true,
 		"table4": true, "table5": true, "fig4": true, "fig5": true, "sampling": true,
 		"table6": true, "fig6": true, "table7": true, "alprd": true, "filter": true,
-		"parallel": true, "servedscan": true}
+		"parallel": true}
 	if !known[*exp] {
 		fmt.Fprintf(os.Stderr, "alpbench: unknown experiment %q\n", *exp)
 		flag.Usage()
@@ -151,7 +120,6 @@ func main() {
 	run("alprd", func() { bench.RunALPRD(w, opt) })
 	run("filter", func() { bench.RunFilter(w, opt, *scale) })
 	run("parallel", func() { bench.RunParallel(w, opt, *scale, workerList) })
-	run("servedscan", func() { servedbench.Run(w, opt, *scale) })
 
 	if *stats {
 		s := alp.ReadStats()

@@ -290,3 +290,62 @@ func FuzzOpen(f *testing.F) {
 		}
 	})
 }
+
+// encodedVectorSeeds are the envelopes a thin client reads from
+// /vectors/{i}: every vector of a small decimal column with a NaN, one
+// ALP_rd vector of real doubles, and an empty input.
+func encodedVectorSeeds(tb testing.TB) [][]byte {
+	decimals := make([]float64, 2*VectorSize+37)
+	for i := range decimals {
+		decimals[i] = float64((i*7919)%100000) / 100
+	}
+	decimals[3] = math.NaN()
+	rd := make([]float64, VectorSize)
+	s := uint64(0x9E3779B97F4A7C15)
+	for i := range rd {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		rd[i] = math.Float64frombits(s &^ (0x7FF << 52))
+	}
+	rdCol := Compress(rd)
+	if !rdCol.UsedRD() {
+		tb.Fatal("real-double seed column did not choose ALP_rd")
+	}
+	var seeds [][]byte
+	for _, col := range []*Column{Compress(decimals), rdCol} {
+		for i := 0; i < col.NumVectors(); i++ {
+			env, err := col.EncodedVector(i)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			seeds = append(seeds, env)
+		}
+	}
+	return append(seeds, []byte{})
+}
+
+// FuzzDecodeEncodedVector feeds arbitrary (including mutated-valid)
+// bytes to the single-vector envelope decoder: it must never panic, it
+// must reject every defect with an error wrapping ErrCorrupt, and an
+// accepted envelope must decode the same way twice.
+func FuzzDecodeEncodedVector(f *testing.F) {
+	for _, seed := range encodedVectorSeeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dst := make([]float64, VectorSize)
+		n, err := DecodeEncodedVector(data, dst)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeEncodedVector error does not wrap ErrCorrupt: %v", err)
+			}
+			return
+		}
+		again := make([]float64, VectorSize)
+		m, err := DecodeEncodedVector(data, again)
+		if err != nil || m != n || !bitsEqual(dst[:n], again[:m]) {
+			t.Fatalf("accepted envelope decoded differently twice (%d then %d values, %v)", n, m, err)
+		}
+	})
+}

@@ -57,19 +57,13 @@ func (c Codec) BitsPerValue(values []float64) float64 {
 	return float64(len(data)) * 8 / float64(len(values))
 }
 
-// MeasureSeconds is measureSeconds for sibling harness packages
-// (internal/servedbench) that share this package's timing discipline.
-func MeasureSeconds(fn func(), minDuration time.Duration) float64 {
-	return measureSeconds(fn, minDuration)
-}
-
 // MeasureMedianSeconds is the noise-controlled timing primitive behind
-// the benchmark snapshots and the cross-domain gauntlet: it runs reps
-// independent measurement windows of at least window each (after
-// measureSeconds' own warmup) and returns the median seconds-per-call
-// together with the observed relative half-spread, (max-min)/(2*median)
-// — the per-metric noise bound the regression comparator is told to
-// tolerate on top of its threshold. A scheduler stall or GC pause that
+// the cross-domain gauntlet: it runs reps independent measurement
+// windows of at least window each (after measureSeconds' own warmup)
+// and returns the median seconds-per-call together with the observed
+// relative half-spread, (max-min)/(2*median) — the per-metric noise
+// bound the regression comparator is told to tolerate on top of its
+// threshold. A scheduler stall or GC pause that
 // wrecks one window moves the spread, not the median.
 func MeasureMedianSeconds(fn func(), window time.Duration, reps int) (median, spread float64) {
 	if reps < 1 {

@@ -12,8 +12,7 @@ import (
 	"github.com/goalp/alp/internal/server"
 )
 
-// BenchmarkAggClustered is the scaling point recorded in
-// BENCH_core.json (`make bench-snapshot` → clustered_agg): a filtered
+// BenchmarkAggClustered is the clustered scaling point: a filtered
 // SUM/COUNT aggregate pushed through the coordinator at 1, 2 and 4
 // loopback alpserved backends. Four row-groups of data, so every shard
 // count divides the work evenly. mvs_per_sec is column values

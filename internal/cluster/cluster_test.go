@@ -167,15 +167,9 @@ func ingestOn(t *testing.T, ctx context.Context, cl *client.Client, target *clie
 	return ""
 }
 
-// bitsEq is bit-identity modulo NaN payload: the agg wire's 'g'
-// formatting round-trips every finite value and ±Inf bit-exactly but
-// canonicalizes NaN payloads, which carry no value semantics.
-func bitsEq(a, b float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return math.IsNaN(a) && math.IsNaN(b)
-	}
-	return math.Float64bits(a) == math.Float64bits(b)
-}
+// bitsEq is bit-identity, NaN payloads included: the agg wire carries
+// every float's Float64bits and the scan wire its exact pattern.
+func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestClusteredDifferentialBattery is the acceptance battery: clustered
 // agg/count/scan/data vs the in-process reference, across shard counts,
@@ -264,26 +258,18 @@ func TestClusteredDifferentialBattery(t *testing.T) {
 						wantRows = append(wantRows, v)
 					}
 				}
-				for _, scan := range []struct {
-					name string
-					run  func() ([]float64, error)
-				}{
-					{"alps", func() ([]float64, error) { return cl.Scan(ctx, dname, sc.cp) }},
-					{"raw", func() ([]float64, error) { return cl.ScanRaw(ctx, dname, sc.cp) }},
-				} {
-					got, err := scan.run()
-					if err != nil {
-						t.Fatalf("%d shards, %s/%s: scan %s: %v", shards, dname, sc.name, scan.name, err)
-					}
-					if len(got) != len(wantRows) {
-						t.Fatalf("%d shards, %s/%s: scan %s returned %d rows, want %d",
-							shards, dname, sc.name, scan.name, len(got), len(wantRows))
-					}
-					for i := range wantRows {
-						if !bitsEq(got[i], wantRows[i]) {
-							t.Fatalf("%d shards, %s/%s: scan %s row %d: %x != %x",
-								shards, dname, sc.name, scan.name, i, math.Float64bits(got[i]), math.Float64bits(wantRows[i]))
-						}
+				got, err := cl.Scan(ctx, dname, sc.cp)
+				if err != nil {
+					t.Fatalf("%d shards, %s/%s: scan: %v", shards, dname, sc.name, err)
+				}
+				if len(got) != len(wantRows) {
+					t.Fatalf("%d shards, %s/%s: scan returned %d rows, want %d",
+						shards, dname, sc.name, len(got), len(wantRows))
+				}
+				for i := range wantRows {
+					if !bitsEq(got[i], wantRows[i]) {
+						t.Fatalf("%d shards, %s/%s: scan row %d: %x != %x",
+							shards, dname, sc.name, i, math.Float64bits(got[i]), math.Float64bits(wantRows[i]))
 					}
 				}
 			}

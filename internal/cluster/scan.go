@@ -1,12 +1,11 @@
 // Clustered scans: the coordinator re-frames backend scan streams into
-// one stream in global row-group order. Both scan encodings are
-// concatenable — raw little-endian float64s trivially, the ALPS
-// selection-aware stream because every frame is self-contained once
-// the 5-byte stream header is stripped — so the gather is pure byte
-// plumbing: fetch each run of consecutive same-backend row-groups,
-// drop subsequent headers, emit in order, and sum the completion
-// trailers into one trailer. Values and their order are therefore
-// bit-identical to a single-node scan of the same column.
+// one ALPS stream in global row-group order. Every ALPS frame is
+// self-contained once the 5-byte stream header is stripped, so the
+// gather is pure byte plumbing: fetch each run of consecutive
+// same-backend row-groups, drop the runs' headers, write one header
+// and the frames in order, and sum the completion trailers into one
+// trailer. Values and their order are therefore bit-identical to a
+// single-node scan of the same column.
 package cluster
 
 import (
@@ -56,7 +55,7 @@ func (c *Coordinator) planRuns(st *colState, need []int, excluded []bool) (runs 
 // lower-ranked replicas when the chosen backend errors. excluded is
 // shared across the whole scan under mu, so one backend's failure is
 // observed by every run that would have routed to it.
-func (c *Coordinator) fetchRun(ctx context.Context, st *colState, p client.Predicate, compressed bool, run scanRun, excluded []bool, mu *sync.Mutex) ([]byte, int, error) {
+func (c *Coordinator) fetchRun(ctx context.Context, st *colState, p client.Predicate, run scanRun, excluded []bool, mu *sync.Mutex) ([]byte, int, error) {
 	o := obs.Active()
 	lo := st.localIndex(run.b, run.globals[0])
 	hi := lo + len(run.globals) - 1
@@ -65,7 +64,7 @@ func (c *Coordinator) fetchRun(ctx context.Context, st *colState, p client.Predi
 	var rows int
 	err := c.pool.Do(ctx, run.b, func(cl *client.Client) error {
 		var err error
-		payload, _, rows, err = cl.ScanRange(ctx, st.storedName(run.b), p, lo, hi, compressed)
+		payload, rows, err = cl.ScanRange(ctx, st.storedName(run.b), p, lo, hi)
 		return err
 	})
 	dur := time.Since(start)
@@ -73,10 +72,8 @@ func (c *Coordinator) fetchRun(ctx context.Context, st *colState, p client.Predi
 	o.Observe(obs.HistClusterBackend, dur.Nanoseconds())
 	c.backendHists[run.b].Record(dur.Nanoseconds())
 	if err == nil {
-		if compressed {
-			if payload, err = stripScanHeader(payload); err != nil {
-				return nil, 0, fmt.Errorf("backend %s: %w", c.pool.URL(run.b), err)
-			}
+		if payload, err = stripScanHeader(payload); err != nil {
+			return nil, 0, fmt.Errorf("backend %s: %w", c.pool.URL(run.b), err)
 		}
 		return payload, rows, nil
 	}
@@ -97,7 +94,7 @@ func (c *Coordinator) fetchRun(ctx context.Context, st *colState, p client.Predi
 	var out []byte
 	total := 0
 	for _, sub := range subRuns {
-		part, n, err := c.fetchRun(ctx, st, p, compressed, sub, excluded, mu)
+		part, n, err := c.fetchRun(ctx, st, p, sub, excluded, mu)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -119,15 +116,14 @@ func stripScanHeader(payload []byte) ([]byte, error) {
 }
 
 // Scan streams the clustered scan of row-groups [rgLo, rgHi] under p
-// into w, in global row-group order. compressed selects the ALPS
-// selection-aware encoding (the coordinator writes one stream header
-// and splices the backends' frames); raw float64s concatenate as-is.
-// Runs are fetched with bounded concurrency but emitted strictly in
-// order, and nothing — the ALPS header included — is written before
-// the first run has answered, so a scan that fails there is still a
-// clean error status. Waiting on runs is timed as the engine span and
-// writing as the write span, like a local scan.
-func (h *column) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi int, compressed bool, w io.Writer) (int, error) {
+// into w, in global row-group order, as one ALPS stream: one header,
+// then the backends' frames spliced in order. Runs are fetched with
+// bounded concurrency but emitted strictly in order, and nothing — the
+// header included — is written before the first run has answered, so a
+// scan that fails there is still a clean error status. Waiting on runs
+// is timed as the engine span and writing as the write span, like a
+// local scan.
+func (h *column) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi int, w io.Writer) (int, error) {
 	c, st := h.c, h.st
 	o := obs.Active()
 	tr := obs.TraceFrom(ctx)
@@ -163,15 +159,12 @@ func (h *column) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi int, c
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			defer close(done[i])
-			payload, n, err := c.fetchRun(ctx, st, cp, compressed, runs[i], excluded, &exMu)
+			payload, n, err := c.fetchRun(ctx, st, cp, runs[i], excluded, &exMu)
 			results[i] = result{payload: payload, rows: n, err: err}
 		}(i)
 	}
 
-	var header []byte // written with the first payload
-	if compressed {
-		header = scanHeader
-	}
+	header := scanHeader // written with the first payload
 	rows := 0
 	for i := range runs {
 		t0 := time.Now()

@@ -60,13 +60,9 @@ const ScanMagic = uint32(0x53504C41)
 // ScanVersion is the current scan stream version.
 const ScanVersion = 1
 
-// ScanContentType is the negotiated media type of the selection-aware
-// scan stream; clients opt in with an Accept header carrying it.
+// ScanContentType is the media type of the selection-aware scan
+// stream, the only body a served /scan answers with.
 const ScanContentType = "application/x-alp-scan"
-
-// RawScanContentType is the fallback media type: selected rows as raw
-// little-endian float64s, no framing.
-const RawScanContentType = "application/x-alp-f64le"
 
 // ScanFrameKind tags one frame's payload encoding.
 type ScanFrameKind uint8

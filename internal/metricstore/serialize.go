@@ -111,6 +111,15 @@ func (st *Store) WriteTo(w io.Writer) (int64, error) {
 // like a first scrape (full totals, not deltas — the pre-snapshot
 // counter baseline is gone with the process that wrote it).
 func ReadStore(data []byte) (*Store, error) {
+	st, err := readStore(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%w)", err, alp.ErrCorrupt)
+	}
+	return st, nil
+}
+
+// readStore is ReadStore; every error it returns is a corrupt snapshot.
+func readStore(data []byte) (*Store, error) {
 	if len(data) > maxSnapshotBytes {
 		return nil, fmt.Errorf("metricstore: snapshot too large (%d bytes)", len(data))
 	}
@@ -170,6 +179,12 @@ func ReadStore(data []byte) (*Store, error) {
 		st.seals++
 	}
 	nHot := int(r.u32())
+	// The hot tail is nHot raw float64s per series plus the timestamps:
+	// a count the remaining bytes cannot hold is rejected before any
+	// append, so a forged count cannot allocate.
+	if uint64(nHot)*uint64(nSeries+1) > uint64(len(r.buf)/8) {
+		return nil, fmt.Errorf("metricstore: hot tail of %d samples x %d series needs more than the %d bytes left", nHot, nSeries+1, len(r.buf))
+	}
 	for i := 0; i < nHot; i++ {
 		st.hotTs = append(st.hotTs, math.Float64frombits(uint64(r.i64())))
 	}

@@ -2,10 +2,17 @@ package metricstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	alp "github.com/goalp/alp"
 )
 
 // TestSnapshotRoundTrip serializes a store mid-life (sealed windows
@@ -93,8 +100,8 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 	good := buf.Bytes()
 
-	if _, err := ReadStore(nil); err == nil {
-		t.Fatal("empty snapshot accepted")
+	if _, err := ReadStore(nil); !errors.Is(err, alp.ErrCorrupt) {
+		t.Fatalf("empty snapshot: %v, want ErrCorrupt", err)
 	}
 	bad := append([]byte(nil), good...)
 	copy(bad, "NOPE")
@@ -102,13 +109,13 @@ func TestSnapshotCorruption(t *testing.T) {
 		t.Fatalf("bad magic: %v", err)
 	}
 	for _, cut := range []int{len(good) - 1, len(good) / 2, 10} {
-		if _, err := ReadStore(good[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+		if _, err := ReadStore(good[:cut]); !errors.Is(err, alp.ErrCorrupt) {
+			t.Fatalf("truncation at %d: %v, want ErrCorrupt", cut, err)
 		}
 	}
 	bad = append(append([]byte(nil), good...), 0)
-	if _, err := ReadStore(bad); err == nil {
-		t.Fatal("trailing garbage accepted")
+	if _, err := ReadStore(bad); !errors.Is(err, alp.ErrCorrupt) {
+		t.Fatalf("trailing garbage: %v, want ErrCorrupt", err)
 	}
 	// Interior flips must be caught by the CRC, never by a panic.
 	for _, pos := range []int{8, 20, len(good) / 3, 2 * len(good) / 3, len(good) - 5} {
@@ -117,6 +124,32 @@ func TestSnapshotCorruption(t *testing.T) {
 		if _, err := ReadStore(bad); err == nil || !strings.Contains(err.Error(), "CRC") {
 			t.Fatalf("bit flip at %d: %v", pos, err)
 		}
+	}
+}
+
+// TestForgedHotTailCountIsRejected forges an empty store's hot-tail
+// count to 2^20 samples under a valid CRC: ReadStore must reject it as
+// corrupt from the bytes left, before allocating for the samples.
+func TestForgedHotTailCountIsRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := New(Options{}).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	forged := buf.Bytes()
+	body := forged[:len(forged)-4]
+	// An empty store ends with its hot-tail count, then the CRC.
+	binary.LittleEndian.PutUint32(body[len(body)-4:], 1<<20)
+	binary.LittleEndian.PutUint32(forged[len(body):], crc32.Checksum(body, crcTable))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadStore(forged)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, alp.ErrCorrupt) {
+		t.Fatalf("forged hot-tail count: err = %v, want one wrapping ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("ReadStore allocated %d bytes for a %d-byte forged snapshot", alloc, len(forged))
 	}
 }
 
@@ -153,4 +186,36 @@ func TestRestoredStoreCanResume(t *testing.T) {
 	if len(pts) != 1 || pts[0].Count != int64(len(seq.ts)+len(more.ts)) {
 		t.Fatalf("resumed query covered %v, want all %d samples", pts, len(seq.ts)+len(more.ts))
 	}
+}
+
+// FuzzReadStore fuzzes the body of an ALPM snapshot and appends a
+// recomputed CRC, so mutations reach the parser instead of failing the
+// checksum: ReadStore must never panic, every error must wrap
+// ErrCorrupt, and an accepted store must serialize again.
+func FuzzReadStore(f *testing.F) {
+	body := func(st *Store) []byte {
+		var buf bytes.Buffer
+		if _, err := st.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()[:buf.Len()-4]
+	}
+	f.Add(body(New(Options{})))
+	// One sealed window of 16 scrapes plus a hot tail of 4.
+	st, _ := feed(f, genSeq(5, 20, 10_000, -1), Options{WindowSamples: 16})
+	f.Add(body(st))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		data := binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crcTable))
+		st, err := ReadStore(data)
+		if err != nil {
+			if !errors.Is(err, alp.ErrCorrupt) {
+				t.Fatalf("ReadStore error does not wrap ErrCorrupt: %v", err)
+			}
+			return
+		}
+		st.Stats()
+		if _, err := st.WriteTo(io.Discard); err != nil {
+			t.Fatalf("accepted snapshot does not serialize: %v", err)
+		}
+	})
 }

@@ -84,7 +84,7 @@ func genSeq(seed int64, n int, intervalUs int64, resetAt int) scrapeSeq {
 
 // feed replays the sequence into a Store (via its injected Source/Now
 // hooks) and a Ref in lockstep.
-func feed(t *testing.T, seq scrapeSeq, opts Options) (*Store, *Ref) {
+func feed(t testing.TB, seq scrapeSeq, opts Options) (*Store, *Ref) {
 	t.Helper()
 	i := 0
 	opts.Source = func() obs.Snapshot { return seq.snaps[i] }

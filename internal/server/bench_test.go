@@ -118,8 +118,8 @@ func BenchmarkAggInProcess(b *testing.B) {
 	}
 }
 
-// BenchmarkScanServed streams qualifying rows back over HTTP as raw
-// little-endian float64s.
+// BenchmarkScanServed streams qualifying rows back over HTTP as an
+// ALPS scan stream and decodes it in the client.
 func BenchmarkScanServed(b *testing.B) {
 	alp.DisableStats()
 	cl, _, _ := benchColumn(b)
@@ -151,9 +151,9 @@ func BenchmarkScanServedObsOn(b *testing.B) {
 	}
 }
 
-// BenchmarkScanInProcess gathers the same qualifying rows with the
-// same zone-skip + FilterGatherVector loop handleScan runs, minus the
-// serialization and the network.
+// BenchmarkScanInProcess gathers the same qualifying rows in process
+// with the zone-skip + FilterGatherVector loop, minus the ALPS framing,
+// the network and the client decode.
 func BenchmarkScanInProcess(b *testing.B) {
 	_, _, col := benchColumn(b)
 	lo, hi := 80.0, 160.0

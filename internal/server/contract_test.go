@@ -10,7 +10,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -502,23 +501,92 @@ func TestAggPartialsMatchEngine(t *testing.T) {
 	})
 }
 
-func decodeScan(t *testing.T, payload []byte, contentType string) []float64 {
-	t.Helper()
-	if contentType == alp.ScanStreamContentType {
-		rows, err := alp.DecodeScanStream(payload)
+// TestAggNaNSumKeepsBits: a sum of +Inf and -Inf is a NaN whose bits
+// are the engine's, and /agg and its partials carry those bits to the
+// client on both services rather than a canonical NaN.
+func TestAggNaNSumKeepsBits(t *testing.T) {
+	forEachService(t, server.Options{}, nil, func(t *testing.T, _ *server.Server, url string) {
+		cl := client.New(url)
+		ctx := context.Background()
+		values := []float64{1.5, math.Inf(1), 2.5, math.Inf(-1), 3.25}
+		if _, err := cl.Ingest(ctx, "c", values); err != nil {
+			t.Fatal(err)
+		}
+		rel := engine.BuildALPFromColumn("c", format.EncodeColumn(values))
+		parts, _ := rel.FilterAggPartials(1, engine.Predicate{Lo: math.Inf(-1), Hi: math.Inf(1)}, nil)
+		want := engine.MergeAggs(parts)
+		if !math.IsNaN(want.Sum) {
+			t.Fatalf("engine sum = %v, want a NaN", want.Sum)
+		}
+		same := func(what string, gotSum, gotMin, gotMax float64, wantAgg engine.Agg) {
+			t.Helper()
+			for _, f := range []struct {
+				name      string
+				got, want float64
+			}{{"sum", gotSum, wantAgg.Sum}, {"min", gotMin, wantAgg.Min}, {"max", gotMax, wantAgg.Max}} {
+				if math.Float64bits(f.got) != math.Float64bits(f.want) {
+					t.Errorf("%s %s = %016x, engine %016x", what, f.name, math.Float64bits(f.got), math.Float64bits(f.want))
+				}
+			}
+		}
+
+		agg, err := cl.Agg(ctx, "c", client.All())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows
-	}
-	if len(payload)%8 != 0 {
-		t.Fatalf("raw scan payload of %d bytes", len(payload))
-	}
-	rows := make([]float64, len(payload)/8)
-	for i := range rows {
-		rows[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-	}
-	return rows
+		if agg.Count != want.Count {
+			t.Fatalf("agg count = %d, want %d", agg.Count, want.Count)
+		}
+		same("agg", agg.Sum, agg.Min, agg.Max, want)
+
+		got, _, err := cl.AggPartials(ctx, "c", client.All(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(parts) {
+			t.Fatalf("%d partials, want %d", len(got), len(parts))
+		}
+		for i := range parts {
+			same(fmt.Sprintf("partial %d", i), got[i].Sum, got[i].Min, got[i].Max, parts[i])
+		}
+	})
+}
+
+// TestScanIgnoresAccept: /scan has one wire, so a request with no
+// Accept, the ALPS media type or another type gets the same ALPS body.
+func TestScanIgnoresAccept(t *testing.T) {
+	forEachService(t, server.Options{}, nil, func(t *testing.T, _ *server.Server, url string) {
+		if _, err := client.New(url).Ingest(context.Background(), "c", dataset(2*vector.RowGroupSize+99, 4)); err != nil {
+			t.Fatal(err)
+		}
+		var first []byte
+		for _, accept := range []string{"", alp.ScanStreamContentType, "application/x-alp-f64le"} {
+			req, _ := http.NewRequest(http.MethodGet, url+"/v1/columns/c/scan?lo=120&hi=180", nil)
+			if accept != "" {
+				req.Header.Set("Accept", accept)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("Accept %q: status %d, %v", accept, resp.StatusCode, err)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != alp.ScanStreamContentType {
+				t.Fatalf("Accept %q: Content-Type %q, want %q", accept, ct, alp.ScanStreamContentType)
+			}
+			if first == nil {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Fatalf("Accept %q: %d bytes, differ from the %d without Accept", accept, len(body), len(first))
+			}
+		}
+		if _, err := alp.DecodeScanStream(first); err != nil {
+			t.Fatalf("scan body is not an ALPS stream: %v", err)
+		}
+	})
 }
 
 func TestScanRowGroupRange(t *testing.T) {
@@ -540,31 +608,32 @@ func TestScanRowGroupRange(t *testing.T) {
 					want = append(want, v)
 				}
 			}
-			for _, compressed := range []bool{false, true} {
-				payload, ct, rows, err := cl.ScanRange(ctx, "c", pred, rg[0], rg[1], compressed)
-				if err != nil {
-					t.Fatalf("%v compressed=%v: %v", rg, compressed, err)
-				}
-				if rows != len(want) {
-					t.Fatalf("%v compressed=%v: trailer %d rows, want %d", rg, compressed, rows, len(want))
-				}
-				got := decodeScan(t, payload, ct)
-				if len(got) != len(want) {
-					t.Fatalf("%v compressed=%v: %d rows, want %d", rg, compressed, len(got), len(want))
-				}
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("%v compressed=%v: row %d differs", rg, compressed, i)
-					}
+			payload, rows, err := cl.ScanRange(ctx, "c", pred, rg[0], rg[1])
+			if err != nil {
+				t.Fatalf("%v: %v", rg, err)
+			}
+			if rows != len(want) {
+				t.Fatalf("%v: trailer %d rows, want %d", rg, rows, len(want))
+			}
+			got, err := alp.DecodeScanStream(payload)
+			if err != nil {
+				t.Fatalf("%v: %v", rg, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v: %d rows, want %d", rg, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%v: row %d differs", rg, i)
 				}
 			}
 		}
 
 		// Bad ranges are 400s.
-		if _, _, _, err := cl.ScanRange(ctx, "c", pred, 3, 99, false); err == nil {
+		if _, _, err := cl.ScanRange(ctx, "c", pred, 3, 99); err == nil {
 			t.Fatal("out-of-range scan accepted")
 		}
-		if _, _, _, err := cl.ScanRange(ctx, "c", pred, 2, 1, false); err == nil {
+		if _, _, err := cl.ScanRange(ctx, "c", pred, 2, 1); err == nil {
 			t.Fatal("inverted scan range accepted")
 		}
 	})
@@ -650,9 +719,9 @@ func TestMetricsProm(t *testing.T) {
 	})
 }
 
-// TestRangedScanAndDataMatchAcrossServices: a ranged scan, in either
-// encoding, and a ranged export through the coordinator are the bytes
-// alpserved sends for the same column.
+// TestRangedScanAndDataMatchAcrossServices: a ranged ALPS scan and a
+// ranged export through the coordinator are the bytes alpserved sends
+// for the same column.
 func TestRangedScanAndDataMatchAcrossServices(t *testing.T) {
 	ctx := context.Background()
 	values := dataset(3*vector.RowGroupSize+1234, 9)
@@ -667,19 +736,17 @@ func TestRangedScanAndDataMatchAcrossServices(t *testing.T) {
 	}
 	local, clustered := clients[0], clients[1]
 	for _, rg := range [][2]int{{0, 0}, {1, 2}, {2, 3}, {3, 3}, {0, 3}} {
-		for _, compressed := range []bool{false, true} {
-			want, _, wantRows, err := local.ScanRange(ctx, "c", client.Between(120, 180), rg[0], rg[1], compressed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, gotRows, err := clustered.ScanRange(ctx, "c", client.Between(120, 180), rg[0], rg[1], compressed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) || gotRows != wantRows {
-				t.Fatalf("scan %v compressed=%v: clustered %d bytes/%d rows, alpserved %d bytes/%d rows",
-					rg, compressed, len(got), gotRows, len(want), wantRows)
-			}
+		wantScan, wantRows, err := local.ScanRange(ctx, "c", client.Between(120, 180), rg[0], rg[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotScan, gotRows, err := clustered.ScanRange(ctx, "c", client.Between(120, 180), rg[0], rg[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotScan, wantScan) || gotRows != wantRows {
+			t.Fatalf("scan %v: clustered %d bytes/%d rows, alpserved %d bytes/%d rows",
+				rg, len(gotScan), gotRows, len(wantScan), wantRows)
 		}
 		want, err := local.DataRange(ctx, "c", rg[0], rg[1])
 		if err != nil {

@@ -8,11 +8,9 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -145,15 +143,14 @@ func (sc *storedColumn) CountPartials(_ context.Context, p engine.Predicate, thr
 
 // Scan evaluates the predicate vector-at-a-time with zone-map skipping
 // plus the encoded-domain kernel, so a scan of a huge column never
-// materializes more than one vector. The two encodings differ only in
-// how one vector's payload is made: the raw gather of the matching
-// rows, or the cheapest ALPS frame — the stored envelope plus a
-// selection bitmap, a re-packed ALP vector of the selected rows, or
-// raw float64s (format.ScanWriter decides by exact byte size).
-func (sc *storedColumn) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi int, compressed bool, w io.Writer) (int, error) {
+// materializes more than one vector. Each vector with a match becomes
+// the cheapest ALPS frame — the stored envelope plus a selection
+// bitmap, a re-packed ALP vector of the selected rows, or raw float64s
+// (format.ScanWriter decides by exact byte size).
+func (sc *storedColumn) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi int, w io.Writer) (int, error) {
 	col := sc.col
 	// An empty column has no row-groups: the range stays empty and the
-	// scan answers zero rows.
+	// scan answers a header-only stream.
 	vecLo, vecHi := 0, 0
 	if len(col.RowGroups) > 0 {
 		vecLo = rgLo * vector.RowGroupVectors
@@ -175,34 +172,10 @@ func (sc *storedColumn) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi
 		tr.Add(obs.SpanWrite, writeNs)
 	}()
 
-	var payload func(i int) ([]byte, int, bool)
-	if compressed {
-		if _, err := w.Write(format.AppendScanStreamHeader(nil)); err != nil {
-			return 0, err
-		}
-		sw := format.NewScanWriter(col)
-		payload = func(i int) ([]byte, int, bool) {
-			frame, n, kind, pd := sw.Frame(i, p.Lo, p.Hi)
-			if n > 0 {
-				frames[kind]++
-				bytesSaved += int64(8*n - len(frame))
-			}
-			return frame, n, pd
-		}
-	} else {
-		var sel [format.SelWords]uint64
-		out := make([]float64, vector.Size)
-		scratch := make([]int64, vector.Size)
-		raw := make([]byte, vector.Size*8)
-		payload = func(i int) ([]byte, int, bool) {
-			n, pd := col.FilterGatherVector(i, p.Lo, p.Hi, sel[:], out, scratch)
-			for j := 0; j < n; j++ {
-				binary.LittleEndian.PutUint64(raw[j*8:], math.Float64bits(out[j]))
-			}
-			return raw[:n*8], n, pd
-		}
+	if _, err := w.Write(format.AppendScanStreamHeader(nil)); err != nil {
+		return 0, err
 	}
-
+	sw := format.NewScanWriter(col)
 	var t0 time.Time
 	for i := vecLo; i < vecHi; i++ {
 		if err := ctx.Err(); err != nil {
@@ -215,7 +188,7 @@ func (sc *storedColumn) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi
 		if timed {
 			t0 = time.Now()
 		}
-		buf, n, pd := payload(i)
+		frame, n, kind, pd := sw.Frame(i, p.Lo, p.Hi)
 		if timed {
 			engineNs += time.Since(t0).Nanoseconds()
 		}
@@ -223,10 +196,12 @@ func (sc *storedColumn) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi
 		if n == 0 {
 			continue
 		}
+		frames[kind]++
+		bytesSaved += int64(8*n - len(frame))
 		if timed {
 			t0 = time.Now()
 		}
-		if _, err := w.Write(buf); err != nil {
+		if _, err := w.Write(frame); err != nil {
 			return rows, err
 		}
 		if timed {

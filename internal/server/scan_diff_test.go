@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"math"
@@ -72,11 +73,10 @@ func sweepRealDoubles(n int) []float64 {
 // TestScanDifferentialBattery is the served-scan bit-identity battery:
 // a selectivity sweep (≈0.1%, 1%, 10%, 50%, 99%, 100%, empty) crossed
 // with edge datasets (uniform decimals, all-exception vectors +
-// NaN/±Inf/-0/subnormals, RD real doubles), each row served under BOTH
-// wire encodings — the compressed selection-aware stream (Scan) and
-// raw little-endian float64s (ScanRaw) — and compared bit-for-bit
-// against the in-process fused unpack+filter+gather oracle
-// (engine.Relation.FilterRows over FilterGatherVector).
+// NaN/±Inf/-0/subnormals, RD real doubles), each served as an ALPS
+// stream and compared bit-for-bit against the in-process fused
+// unpack+filter+gather oracle (engine.Relation.FilterRows over
+// FilterGatherVector).
 func TestScanDifferentialBattery(t *testing.T) {
 	_, cl := newTestServer(t, Options{})
 	ctx := context.Background()
@@ -110,24 +110,18 @@ func TestScanDifferentialBattery(t *testing.T) {
 		for _, b := range bands {
 			t.Run(ds.name+"/"+b.name, func(t *testing.T) {
 				want := rel.FilterRows(engine.Between(b.lo, b.hi))
-				compressed, err := cl.Scan(ctx, ds.name, client.Between(b.lo, b.hi))
+				got, err := cl.Scan(ctx, ds.name, client.Between(b.lo, b.hi))
 				if err != nil {
-					t.Fatalf("compressed scan: %v", err)
+					t.Fatalf("scan: %v", err)
 				}
-				raw, err := cl.ScanRaw(ctx, ds.name, client.Between(b.lo, b.hi))
-				if err != nil {
-					t.Fatalf("raw scan: %v", err)
+				if len(got) != len(want) {
+					t.Fatalf("%d rows, want %d", len(got), len(want))
 				}
-				for enc, got := range map[string][]float64{"compressed": compressed, "raw": raw} {
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d rows, want %d", enc, len(got), len(want))
-					}
-					for i := range got {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("%s row %d: got %016x (%v), want %016x (%v)",
-								enc, i, math.Float64bits(got[i]), got[i],
-								math.Float64bits(want[i]), want[i])
-						}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("row %d: got %016x (%v), want %016x (%v)",
+							i, math.Float64bits(got[i]), got[i],
+							math.Float64bits(want[i]), want[i])
 					}
 				}
 			})
@@ -135,10 +129,10 @@ func TestScanDifferentialBattery(t *testing.T) {
 	}
 }
 
-// TestScanNegotiation pins the content negotiation itself: an Accept
-// carrying application/x-alp-scan gets the framed stream (and the
-// server reports compressed frames in /metrics), anything else keeps
-// the raw float64 body and Content-Type.
+// TestScanNegotiation pins that /scan has one wire: a request with
+// Accept: application/x-alp-scan and one with no Accept both get the
+// framed ALPS stream, byte for byte, and the server reports its frames
+// in /metrics.
 func TestScanNegotiation(t *testing.T) {
 	alp.EnableStats()
 	defer alp.DisableStats()
@@ -187,15 +181,15 @@ func TestScanNegotiation(t *testing.T) {
 		t.Fatalf("trailer %q, decoded %d rows", trailer, len(rows))
 	}
 	if len(body) >= 8*len(rows) {
-		t.Fatalf("compressed scan body is %d bytes for %d rows — not smaller than raw", len(body), len(rows))
+		t.Fatalf("scan body is %d bytes for %d rows — not under 8 bytes/row", len(body), len(rows))
 	}
 
-	resp, body = get("") // no negotiation: legacy raw body
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-alp-f64le" {
-		t.Fatalf("default Content-Type = %q, want raw", ct)
+	resp, plain := get("") // no Accept: the same stream
+	if ct := resp.Header.Get("Content-Type"); ct != alp.ScanStreamContentType {
+		t.Fatalf("Content-Type without Accept = %q, want %q", ct, alp.ScanStreamContentType)
 	}
-	if len(body) != 8*len(rows) {
-		t.Fatalf("raw body %d bytes, want %d", len(body), 8*len(rows))
+	if !bytes.Equal(plain, body) {
+		t.Fatalf("body without Accept is %d bytes, with it %d: not the same stream", len(plain), len(body))
 	}
 
 	m := alp.ReadStats()
@@ -263,6 +257,27 @@ func TestScanTruncationSurfaces(t *testing.T) {
 				t.Fatalf("unexpected error shape: %v", err)
 			}
 		})
+	}
+}
+
+// TestScanRejectsRawBody: a body of raw float64s, a wire /scan does
+// not have, is a scan stream error even under a matching trailer, never
+// rows.
+func TestScanRejectsRawBody(t *testing.T) {
+	raw := make([]byte, 8*4)
+	for i := 0; i < 4; i++ {
+		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(float64(i)))
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Trailer", ScanRowsTrailer)
+		w.Header().Set("Content-Type", "application/x-alp-f64le")
+		w.Write(raw)
+		w.Header().Set(ScanRowsTrailer, "4")
+	}))
+	defer ts.Close()
+	got, err := client.New(ts.URL, client.WithRetries(0)).Scan(context.Background(), "x", client.All())
+	if err == nil || !strings.Contains(err.Error(), "scan stream") {
+		t.Fatalf("raw float64 body: %d rows, err %v; want a scan stream error", len(got), err)
 	}
 }
 

@@ -17,7 +17,7 @@
 //	GET    /v1/columns/{name}/agg        filtered SUM/COUNT/MIN/MAX: per-row-group partials merged in row-group order
 //	                                     (?partials=rowgroups returns the partials unmerged, ?rgs= a subset)
 //	GET    /v1/columns/{name}/count      filtered COUNT: per-row-group counts summed (?partials=rowgroups as above)
-//	GET    /v1/columns/{name}/scan       stream qualifying rows (little-endian float64s; ?rg_lo/?rg_hi bound the range)
+//	GET    /v1/columns/{name}/scan       stream qualifying rows as an ALPS scan stream (?rg_lo/?rg_hi bound the range)
 //	GET    /v1/columns/{name}/data       the compressed column stream (?rg_lo/?rg_hi export a re-based range)
 //	GET    /metrics                      codec + service counters, latency quantiles and the service's extras (JSON, sorted keys)
 //	GET    /metrics.prom                 the same snapshot in Prometheus text exposition format
@@ -765,28 +765,43 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// aggResponse carries FilterAgg results. Sum, Min and Max are strings
-// (strconv 'g'/-1) so ±Inf survive JSON and finite values round-trip
-// bit-exactly.
-type aggResponse struct {
+// aggWire is one aggregate on the /agg wire. Sum, Min and Max appear
+// twice: as shortest strconv 'g' strings, readable with curl, which
+// round-trip every finite value and ±Inf; and as their Float64bits in
+// 16 hex digits, which the typed client reads, so a NaN keeps its
+// payload and a served or clustered answer is bit-identical to the
+// engine's.
+type aggWire struct {
 	Sum     string `json:"sum"`
+	SumBits string `json:"sum_bits"`
 	Count   int64  `json:"count"`
 	Min     string `json:"min"`
+	MinBits string `json:"min_bits"`
 	Max     string `json:"max"`
-	Touched int    `json:"touched"`
-	Threads int    `json:"threads"`
+	MaxBits string `json:"max_bits"`
 }
 
 func fmtFloat(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
-// aggPartialWire is one row-group's partial aggregate in the
-// partials=rowgroups response; float fields use the same exact 'g'/-1
-// encoding as aggResponse so merging coordinators round-trip bits.
-type aggPartialWire struct {
-	Sum   string `json:"sum"`
-	Count int64  `json:"count"`
-	Min   string `json:"min"`
-	Max   string `json:"max"`
+func fmtBits(x float64) string { return fmt.Sprintf("%016x", math.Float64bits(x)) }
+
+func toWire(a engine.Agg) aggWire {
+	return aggWire{
+		Sum:     fmtFloat(a.Sum),
+		SumBits: fmtBits(a.Sum),
+		Count:   a.Count,
+		Min:     fmtFloat(a.Min),
+		MinBits: fmtBits(a.Min),
+		Max:     fmtFloat(a.Max),
+		MaxBits: fmtBits(a.Max),
+	}
+}
+
+// aggResponse is the merged /agg answer.
+type aggResponse struct {
+	aggWire
+	Touched int `json:"touched"`
+	Threads int `json:"threads"`
 }
 
 // handleAgg answers both modes from the service's per-row-group
@@ -811,22 +826,14 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) error {
 	}
 	obs.Active().ServerScanned()
 	if partials {
-		wire := make([]aggPartialWire, len(parts))
+		wire := make([]aggWire, len(parts))
 		for i, a := range parts {
-			wire[i] = aggPartialWire{Sum: fmtFloat(a.Sum), Count: a.Count, Min: fmtFloat(a.Min), Max: fmtFloat(a.Max)}
+			wire[i] = toWire(a)
 		}
 		WriteJSON(w, http.StatusOK, map[string]any{"rowgroups": wire, "touched": touched, "threads": threads})
 		return nil
 	}
-	agg := engine.MergeAggs(parts)
-	WriteJSON(w, http.StatusOK, aggResponse{
-		Sum:     fmtFloat(agg.Sum),
-		Count:   agg.Count,
-		Min:     fmtFloat(agg.Min),
-		Max:     fmtFloat(agg.Max),
-		Touched: touched,
-		Threads: threads,
-	})
+	WriteJSON(w, http.StatusOK, aggResponse{aggWire: toWire(engine.MergeAggs(parts)), Touched: touched, Threads: threads})
 	return nil
 }
 
@@ -863,34 +870,16 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) error {
 // ScanRowsTrailer is the HTTP trailer carrying the number of rows a
 // /scan response streamed. It is written only when the scan ran to
 // completion, so a client can distinguish a full result from a stream
-// cut short — a truncated body is otherwise indistinguishable from a
-// complete one, because every prefix of the stream is 8-byte aligned.
+// cut short — a body cut at a frame boundary is otherwise a valid,
+// shorter ALPS stream, because every frame is self-contained.
 const ScanRowsTrailer = "X-Alp-Scan-Rows"
 
-// scanAcceptsCompressed reports whether the request's Accept header
-// opts into the selection-aware scan stream (format.ScanContentType).
-// Plain media-range matching over the comma-separated list; absent or
-// non-matching Accept values keep the raw float64 encoding, so old
-// clients are untouched.
-func scanAcceptsCompressed(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mt := part
-		if i := strings.IndexByte(mt, ';'); i >= 0 {
-			mt = mt[:i]
-		}
-		if strings.TrimSpace(mt) == format.ScanContentType {
-			return true
-		}
-	}
-	return false
-}
-
 // handleScan streams the rows matching the predicate, in position
-// order. The wire encoding is negotiated: `Accept: application/x-alp-scan`
-// selects the framed selection-aware stream (compressed per-vector
-// payloads the client decodes with the fused kernels); anything else
-// gets raw little-endian float64s. Either way the service writes the
-// body incrementally and completion is framed by the ScanRowsTrailer.
+// order, as the ALPS selection-aware stream (format.ScanContentType):
+// per vector, the cheapest of the stored envelope plus a selection
+// bitmap, a re-packed ALP vector or raw float64s. The service writes
+// the body incrementally and completion is framed by the
+// ScanRowsTrailer.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) error {
 	c, err := s.column(r)
 	if err != nil {
@@ -907,15 +896,11 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	s.hold()
-	compressed := scanAcceptsCompressed(r.Header.Get("Accept"))
 	h := w.Header()
 	h.Set("Trailer", ScanRowsTrailer)
-	h.Set("Content-Type", "application/x-alp-f64le")
-	if compressed {
-		h.Set("Content-Type", format.ScanContentType)
-	}
+	h.Set("Content-Type", format.ScanContentType)
 	h.Set("X-Alp-Column-Values", strconv.Itoa(info.Values))
-	rows, err := c.Scan(r.Context(), pred, rgLo, rgHi, compressed, w)
+	rows, err := c.Scan(r.Context(), pred, rgLo, rgHi, w)
 	obs.Active().ServerScanned()
 	if err != nil {
 		return err

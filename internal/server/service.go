@@ -53,9 +53,9 @@ type Column interface {
 	// CountPartials is AggPartials for COUNT(*).
 	CountPartials(ctx context.Context, p engine.Predicate, threads int, rgs []int) ([]int64, error)
 	// Scan writes the rows of row-groups [rgLo, rgHi] matching p to w in
-	// position order — raw little-endian float64s, or with compressed
-	// the ALPS stream, header included — and returns the row count.
-	Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi int, compressed bool, w io.Writer) (int, error)
+	// position order as one ALPS scan stream, header included, and
+	// returns the row count.
+	Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi int, w io.Writer) (int, error)
 	// Data returns the marshaled column, or with ranged a standalone
 	// re-based column of row-groups [rgLo, rgHi].
 	Data(ctx context.Context, rgLo, rgHi int, ranged bool) ([]byte, error)

@@ -1,8 +1,9 @@
 package alp
 
 import (
-	"math"
+	"sort"
 	"testing"
+	"time"
 )
 
 var benchSink []byte
@@ -93,9 +94,9 @@ func TestEncodeObsOverheadGuard(t *testing.T) {
 		t.Skip("timing assertion skipped with -short")
 	}
 	values := benchEncodeValues()
-	off, on := obsOverhead(func() { benchSink = Encode(values) })
+	ratio, off, on := obsOverhead(func() { benchSink = Encode(values) })
 
-	if ratio := on / off; ratio > 1.15 {
+	if ratio > 1.15 {
 		t.Fatalf("enabled-collector overhead %.1f%% exceeds 15%% guard (off %.0f ns/op, on %.0f ns/op)",
 			100*(ratio-1), off, on)
 	} else {
@@ -115,14 +116,14 @@ func TestFilterObsOverheadGuard(t *testing.T) {
 		t.Skip("timing assertion skipped with -short")
 	}
 	col := benchFilterColumn()
-	off, on := obsOverhead(func() { col.AggRange(benchFilterLo, benchFilterHi) })
+	ratio, off, on := obsOverhead(func() { col.AggRange(benchFilterLo, benchFilterHi) })
 
 	// Measured steady-state cost is ~3% (sampled clock reads plus one
 	// atomic tick per kernel; the per-vector counters flush batched per
 	// partition). The bound is wider than the encode guard's because
 	// each AggRange op is ~200µs — 4x more sensitive to scheduler noise
 	// on a shared single-core runner than the ~800µs encode op.
-	if ratio := on / off; ratio > 1.25 {
+	if ratio > 1.25 {
 		t.Fatalf("histogram-recording overhead %.1f%% exceeds 25%% guard (off %.0f ns/op, on %.0f ns/op)",
 			100*(ratio-1), off, on)
 	} else {
@@ -131,25 +132,39 @@ func TestFilterObsOverheadGuard(t *testing.T) {
 }
 
 // obsOverhead times op with the collector off and on for the overhead
-// guards. The modes alternate off, on, off, on, off, on and each keeps
-// its fastest run, so a burst of host noise lands on both modes rather
-// than on whichever one happened to run during it.
-func obsOverhead(op func()) (off, on float64) {
-	measure := func() float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				op()
-			}
-		})
-		return float64(r.NsPerOp())
+// guards, as 31 pairs of ~25 ms batches, one batch per mode, alternating
+// which mode runs first. It returns the median of the per-pair on/off
+// ratios, with that pair's off and on ns/op. A pair spans tens of
+// milliseconds, so load from other test binaries sharing the CPUs
+// mostly lands on both of its modes, and the median discards the pairs
+// where it did not.
+func obsOverhead(op func()) (ratio, off, on float64) {
+	batch := func(enabled bool, n int) float64 {
+		if enabled {
+			EnableStats()
+		} else {
+			DisableStats()
+		}
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			op()
+		}
+		return float64(time.Since(start).Nanoseconds()) / float64(n)
 	}
-	off, on = math.Inf(1), math.Inf(1)
-	for i := 0; i < 3; i++ {
-		DisableStats()
-		off = math.Min(off, measure())
-		EnableStats()
-		on = math.Min(on, measure())
+	n := int(float64(25*time.Millisecond)/batch(false, 2)) + 1
+	type pair struct{ off, on float64 }
+	pairs := make([]pair, 31)
+	for i := range pairs {
+		if i%2 == 0 {
+			pairs[i].off = batch(false, n)
+			pairs[i].on = batch(true, n)
+		} else {
+			pairs[i].on = batch(true, n)
+			pairs[i].off = batch(false, n)
+		}
 	}
 	DisableStats()
-	return off, on
+	sort.Slice(pairs, func(a, b int) bool { return pairs[a].on/pairs[a].off < pairs[b].on/pairs[b].off })
+	m := pairs[len(pairs)/2]
+	return m.on / m.off, m.off, m.on
 }

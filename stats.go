@@ -67,7 +67,7 @@ type Stats struct {
 	ServerBytesOut int64 // response payload bytes written
 	ServerScans    int64 // scan/agg/count requests served
 
-	// Selection-aware scan wire format (Accept: application/x-alp-scan).
+	// Selection-aware scan wire format (application/x-alp-scan).
 	ScanFramesDense    int64 // frames shipped as stored envelope + bitmap
 	ScanFramesRepacked int64 // frames shipped as re-packed ALP vectors
 	ScanFramesRaw      int64 // frames that fell back to raw float64 rows
