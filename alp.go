@@ -292,15 +292,19 @@ func (c *Column) BuildScanStream(lo, hi float64) ([]byte, int) {
 
 // DecodeScanStream decodes a complete selection-aware scan stream into
 // the selected rows, in position order, bit-identical to filtering the
-// decoded column locally. Any structural defect — bad magic, truncated
-// or corrupted frame, bitmap/count mismatch — returns an error along
-// with the rows decoded before the defect.
+// decoded column locally. The result is allocated once, sized from the
+// frame headers. Any structural defect — bad magic, truncated or
+// corrupted frame, bitmap/count mismatch — returns an error along with
+// the rows decoded before the defect.
 func DecodeScanStream(data []byte) ([]float64, error) {
 	d, err := format.NewScanDecoder(data)
 	if err != nil {
 		return nil, err
 	}
 	var out []float64
+	if n := d.SizeHint(); n > 0 {
+		out = make([]float64, 0, n)
+	}
 	for {
 		rows, err := d.Next()
 		if err == io.EOF {

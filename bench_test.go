@@ -10,7 +10,9 @@ package alp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/goalp/alp/internal/alpenc"
@@ -262,6 +264,39 @@ func BenchmarkALPRD(b *testing.B) {
 			enc.DecodeVector(&v, dst)
 		}
 	})
+}
+
+// BenchmarkDecodeScanStream times the client half of a served scan:
+// decoding a whole ALPS stream into one result, over two row-groups of
+// City-Temp (decimal frames) and of POI-lat (ALP_rd frames), at 1%
+// (a band around the median) and 100% selectivity.
+func BenchmarkDecodeScanStream(b *testing.B) {
+	for _, name := range []string{"City-Temp", "POI-lat"} {
+		values := datasetValues(b, name, 2*vector.RowGroupSize)
+		col := Compress(values)
+		sorted := slices.Clone(values)
+		slices.Sort(sorted)
+		mid := len(sorted) / 2
+		bands := []struct {
+			name   string
+			lo, hi float64
+		}{
+			{"1pct", sorted[mid], sorted[mid+len(sorted)/100]},
+			{"100pct", math.Inf(-1), math.Inf(1)},
+		}
+		for _, band := range bands {
+			stream, rows := col.BuildScanStream(band.lo, band.hi)
+			b.Run(name+"/"+band.name, func(b *testing.B) {
+				b.SetBytes(int64(rows) * 8)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := DecodeScanStream(stream); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkSampling times the two sampling levels in isolation (§4.2's

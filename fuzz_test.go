@@ -126,6 +126,9 @@ func FuzzPushdownAgainstNaive(f *testing.F) {
 		twoGroups = append(twoGroups, float64(i*7919%100003)/100)
 	}
 	f.Add(le64(twoGroups...)) // two row-groups: the partials merge
+	// A band over real doubles that sample to ALP_rd: FilterCount
+	// reaches the float-domain compare through FilterVector.
+	f.Add(le64(append([]float64{0, 5e-309}, goldenRealDoubles(1500)...)...))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 16 {
 			return
@@ -222,6 +225,11 @@ func FuzzScanFrameDecode(f *testing.F) {
 	sparse := scanFuzzStream(0, 20)                   // repacked + raw frames
 	f.Add(full)
 	f.Add(sparse)
+	rd := Compress(goldenRealDoubles(1500))
+	rdDense, _ := rd.BuildScanStream(math.Inf(-1), math.Inf(1)) // dense ALP_rd frames
+	rdRaw, _ := rd.BuildScanStream(0, 5e-309)                   // raw frames compacted from ALP_rd vectors
+	f.Add(rdDense)
+	f.Add(rdRaw)
 	f.Add(full[:len(full)/2]) // mid-frame cut
 	f.Add(full[:5])           // header only
 	f.Add([]byte{})

@@ -17,6 +17,8 @@ package alprd
 import (
 	"math"
 	"sort"
+	"sync"
+	"unsafe"
 
 	"github.com/goalp/alp/internal/bitpack"
 	"github.com/goalp/alp/internal/obs"
@@ -41,15 +43,20 @@ const maxExceptionFrac = 0.10
 
 // Encoder holds the per-row-group parameters of ALP_rd: the cut
 // position and the left-part dictionary. It is built once per row-group
-// by Sample and reused for every vector in it.
+// by Sample and reused for every vector in it. CodeWidth is at most
+// MaxDictBits and Dict holds at most 1<<CodeWidth entries: Sample
+// builds no more, and the format readers reject more.
 type Encoder struct {
 	P         uint8    // right-part width in bits
 	Dict      []uint16 // left-part dictionary, most frequent first
 	CodeWidth uint     // b: bits per dictionary code
 
 	// index maps a left value to code+1 (0 = not in dictionary); a
-	// flat table keeps the per-value encode lookup branch-light.
-	index []uint16
+	// flat table keeps the per-value encode lookup branch-light. Only
+	// an encoder that encodes needs it, so EncodeVector builds it on
+	// first use.
+	indexOnce sync.Once
+	index     *[1 << 16]uint16
 }
 
 // Vector is one ALP_rd-encoded vector: bit-packed right parts and
@@ -66,16 +73,17 @@ type Vector struct {
 // sample (first-level sampling, §3.2/§3.4): for every candidate p it
 // estimates the compressed bits/value — right bits + code bits + the
 // exception overhead implied by the dictionary hit rate — and keeps the
-// best.
+// best. The chosen encoder builds its encode index on its first
+// EncodeVector.
 func Sample(values []float64) *Encoder {
 	sample := rowGroupSample(values)
 	best := &Encoder{}
 	bestCost := math.MaxFloat64
 	cuts := 0
 	for p := minRight; p <= maxRight; p++ {
-		enc := buildEncoder(sample, uint8(p))
+		enc, exc := buildEncoder(sample, uint8(p))
 		cuts++
-		cost := enc.estimateBits(sample)
+		cost := enc.estimateBits(exc, len(sample))
 		if cost < bestCost {
 			bestCost = cost
 			best = enc
@@ -115,8 +123,9 @@ func rowGroupSample(values []float64) []uint64 {
 // buildEncoder constructs the dictionary for cut position p from the
 // sampled bit patterns: left values are ranked by frequency and the
 // smallest dictionary size 2^b with at most 10% exceptions is chosen
-// (or b = MaxDictBits if none qualifies).
-func buildEncoder(sample []uint64, p uint8) *Encoder {
+// (or b = MaxDictBits if none qualifies). It also returns how many
+// sampled values miss the dictionary.
+func buildEncoder(sample []uint64, p uint8) (*Encoder, int) {
 	freq := make(map[uint16]int, 64)
 	for _, bits := range sample {
 		freq[uint16(bits>>p)]++
@@ -155,33 +164,40 @@ func buildEncoder(sample []uint64, p uint8) *Encoder {
 	}
 	e := &Encoder{P: p, CodeWidth: uint(chosen)}
 	e.Dict = make([]uint16, size)
-	e.index = make([]uint16, 1<<16)
+	exc := total
 	for i := 0; i < size; i++ {
 		e.Dict[i] = ranked[i].left
-		e.index[ranked[i].left] = uint16(i) + 1
+		exc -= ranked[i].count
 	}
-	return e
+	return e, exc
 }
 
-// estimateBits estimates the per-value compressed size of the sample
-// under this encoder.
-func (e *Encoder) estimateBits(sample []uint64) float64 {
-	if len(sample) == 0 {
+// estimateBits estimates the per-value compressed size of a sample of n
+// values, exc of which miss the dictionary, under this encoder.
+func (e *Encoder) estimateBits(exc, n int) float64 {
+	if n == 0 {
 		return 64
 	}
-	exc := 0
-	for _, bits := range sample {
-		if e.index[uint16(bits>>e.P)] == 0 {
-			exc++
-		}
-	}
-	excFrac := float64(exc) / float64(len(sample))
+	excFrac := float64(exc) / float64(n)
 	return float64(e.P) + float64(e.CodeWidth) + excFrac*32 // 16-bit value + 16-bit position
+}
+
+// encodeIndex returns the left value -> code+1 table, building it on
+// the first call. Concurrent callers share one build.
+func (e *Encoder) encodeIndex() *[1 << 16]uint16 {
+	e.indexOnce.Do(func() {
+		e.index = new([1 << 16]uint16)
+		for i, l := range e.Dict {
+			e.index[l] = uint16(i) + 1
+		}
+	})
+	return e.index
 }
 
 // EncodeVector cuts every value of src at p and compresses both parts
 // (Algorithm 3, encoding).
 func (e *Encoder) EncodeVector(src []float64) Vector {
+	index := e.encodeIndex()
 	n := len(src)
 	v := Vector{N: n}
 	var rightsArr, codesArr [vector.Size]uint64
@@ -196,7 +212,7 @@ func (e *Encoder) EncodeVector(src []float64) Vector {
 		bits := math.Float64bits(x)
 		left := uint16(bits >> e.P)
 		rights[i] = bits & (uint64(1)<<e.P - 1)
-		code := e.index[left]
+		code := index[left]
 		if code == 0 {
 			v.ExcPos = append(v.ExcPos, uint16(i))
 			v.ExcLeft = append(v.ExcLeft, left)
@@ -211,34 +227,49 @@ func (e *Encoder) EncodeVector(src []float64) Vector {
 	return v
 }
 
-// DecodeVector reverses EncodeVector (Algorithm 3, decoding): bit-unpack
-// codes and right parts, translate codes through the dictionary, patch
-// exceptions, and glue left<<p | right.
+// DecodeVector reverses EncodeVector (Algorithm 3, decoding) straight
+// into dst, allocating nothing: the right parts unpack into dst's bit
+// patterns, each 64-row block then ORs in its rows' left parts from the
+// pre-shifted dictionary, and the exceptions rewrite their rows' left
+// bits. A code past the dictionary keeps left part 0. dst must hold
+// v.N values.
 func (e *Encoder) DecodeVector(v *Vector, dst []float64) {
-	n := v.N
-	var rightsArr, codesArr, leftsArr [vector.Size]uint64
-	var rights, codes, lefts []uint64
-	if n <= vector.Size {
-		rights, codes, lefts = rightsArr[:n], codesArr[:n], leftsArr[:n]
-	} else {
-		rights = make([]uint64, n)
-		codes = make([]uint64, n)
-		lefts = make([]uint64, n)
+	out := float64Bits(dst[:v.N])
+	p := uint(e.P)
+	bitpack.Unpack(out, v.RightWords, p, 0)
+	var left [1 << MaxDictBits]uint64
+	for c, l := range e.Dict {
+		left[c] = uint64(l) << p
 	}
-	bitpack.Unpack(rights, v.RightWords, uint(e.P), 0)
-	bitpack.Unpack(codes, v.CodeWords, e.CodeWidth, 0)
-	for i, c := range codes {
-		if int(c) < len(e.Dict) {
-			lefts[i] = uint64(e.Dict[c])
+	orLeftParts(out, v.CodeWords, e.CodeWidth, &left)
+	right := uint64(1)<<p - 1
+	for k, pos := range v.ExcPos {
+		out[pos] = out[pos]&right | uint64(v.ExcLeft[k])<<p
+	}
+}
+
+// orLeftParts ORs left[code] into every bit pattern of out, reading the
+// codes, packed cw bits apiece in words, one 64-row block at a time.
+func orLeftParts(out, words []uint64, cw uint, left *[1 << MaxDictBits]uint64) {
+	var codes [bitpack.BlockSize]uint64
+	for b := 0; b < len(out); b += bitpack.BlockSize {
+		rows := out[b:min(b+bitpack.BlockSize, len(out))]
+		bitpack.Unpack(codes[:len(rows)], words[b/bitpack.BlockSize*int(cw):], cw, 0)
+		for j, x := range rows {
+			// Codes are below 1<<MaxDictBits; the mask drops the
+			// bounds check.
+			rows[j] = x | left[codes[j]&(1<<MaxDictBits-1)]
 		}
 	}
-	for k, pos := range v.ExcPos {
-		lefts[pos] = uint64(v.ExcLeft[k])
+}
+
+// float64Bits reinterprets a float64 slice as its bit patterns without
+// copying; the types have identical size and alignment.
+func float64Bits(s []float64) []uint64 {
+	if len(s) == 0 {
+		return nil
 	}
-	p := e.P
-	for i := range dst {
-		dst[i] = math.Float64frombits(lefts[i]<<p | rights[i])
-	}
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&s[0])), len(s))
 }
 
 // Exceptions returns the number of left-part exceptions in the vector.
@@ -257,12 +288,8 @@ func (e *Encoder) HeaderBits() int {
 }
 
 // NewEncoder reconstructs an Encoder from serialized parameters (the
-// decoding side of the format reader).
+// decoding side of the format reader). It builds no encode index:
+// decoding needs none, and EncodeVector builds one on first use.
 func NewEncoder(p uint8, codeWidth uint, dict []uint16) *Encoder {
-	e := &Encoder{P: p, CodeWidth: codeWidth, Dict: dict}
-	e.index = make([]uint16, 1<<16)
-	for i, l := range dict {
-		e.index[l] = uint16(i) + 1
-	}
-	return e
+	return &Encoder{P: p, CodeWidth: codeWidth, Dict: dict}
 }

@@ -3,8 +3,12 @@ package alprd
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"github.com/goalp/alp/internal/bitpack"
 )
 
 // poiLike generates full-precision doubles in a narrow range, mimicking
@@ -104,6 +108,196 @@ func TestNewEncoderRebuildsIndex(t *testing.T) {
 	for i := range src {
 		if math.Float64bits(got[i]) != math.Float64bits(src[i]) {
 			t.Fatalf("value %d mismatch after encoder rebuild", i)
+		}
+	}
+}
+
+// decodeVectorRef is the four-pass decode that DecodeVector replaced:
+// unpack the right parts and the codes, translate the codes through the
+// dictionary, patch the exceptions, glue left<<p | right. It is the
+// reference the one-pass decode must match bit for bit.
+func decodeVectorRef(e *Encoder, v *Vector, dst []float64) {
+	n := v.N
+	rights := make([]uint64, n)
+	codes := make([]uint64, n)
+	lefts := make([]uint64, n)
+	bitpack.Unpack(rights, v.RightWords, uint(e.P), 0)
+	bitpack.Unpack(codes, v.CodeWords, e.CodeWidth, 0)
+	for i, c := range codes {
+		if int(c) < len(e.Dict) {
+			lefts[i] = uint64(e.Dict[c])
+		}
+	}
+	for k, pos := range v.ExcPos {
+		lefts[pos] = uint64(v.ExcLeft[k])
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(lefts[i]<<e.P | rights[i])
+	}
+}
+
+// randomRDVector builds a vector of n rows straight from random parts:
+// right parts of p bits, codes of cw bits (so codes past a short
+// dictionary occur), and 16-bit exception left parts at excPos.
+func randomRDVector(r *rand.Rand, n int, p uint8, cw uint, excPos []uint16) Vector {
+	rights := make([]uint64, n)
+	codes := make([]uint64, n)
+	for i := range rights {
+		rights[i] = r.Uint64() & (uint64(1)<<p - 1)
+		codes[i] = r.Uint64() & (uint64(1)<<cw - 1)
+	}
+	v := Vector{N: n, ExcPos: excPos}
+	v.RightWords = make([]uint64, bitpack.WordCount(n, uint(p)))
+	bitpack.Pack(v.RightWords, rights, uint(p), 0)
+	v.CodeWords = make([]uint64, bitpack.WordCount(n, cw))
+	bitpack.Pack(v.CodeWords, codes, cw, 0)
+	for range excPos {
+		v.ExcLeft = append(v.ExcLeft, uint16(r.Uint32()))
+	}
+	return v
+}
+
+// TestDecodeVectorMatchesReference checks the one-pass decode against
+// the four-pass reference on randomized vectors: every length class
+// around the 64-row block, every cut position the sampler can choose
+// plus 0 and 1, every code width with dictionaries shorter than 2^width,
+// and exceptions at the first, the last, adjacent and every row.
+func TestDecodeVectorMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	cuts := []uint8{0, 1}
+	for p := uint8(minRight); p <= maxRight; p++ {
+		cuts = append(cuts, p)
+	}
+	for _, n := range []int{1, 63, 64, 65, 1000, 1024} {
+		every := make([]uint16, n)
+		for i := range every {
+			every[i] = uint16(i)
+		}
+		k := uint16(r.Intn(n))
+		patterns := map[string][]uint16{
+			"none":     nil,
+			"first":    {0},
+			"last":     {uint16(n - 1)},
+			"adjacent": slices.Compact([]uint16{k, min(k+1, uint16(n-1))}),
+			"every":    every,
+		}
+		for _, p := range cuts {
+			for cw := uint(0); cw <= MaxDictBits; cw++ {
+				for dictLen := 0; dictLen <= 1<<cw; dictLen++ {
+					dict := make([]uint16, dictLen)
+					for i := range dict {
+						dict[i] = uint16(r.Uint32())
+					}
+					e := NewEncoder(p, cw, dict)
+					for name, exc := range patterns {
+						v := randomRDVector(r, n, p, cw, exc)
+						got := make([]float64, n)
+						want := make([]float64, n)
+						e.DecodeVector(&v, got)
+						decodeVectorRef(e, &v, want)
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("n=%d p=%d cw=%d dict=%d exceptions=%s: row %d = %#x, want %#x",
+									n, p, cw, dictLen, name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeVectorAllocatesNothing pins the decode to the stack: no
+// per-row arrays, and no block of codes that escapes.
+func TestDecodeVectorAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	src := poiLike(r, 1024)
+	e := Sample(src)
+	v := e.EncodeVector(src)
+	dst := make([]float64, len(src))
+	if allocs := testing.AllocsPerRun(20, func() { e.DecodeVector(&v, dst) }); allocs != 0 {
+		t.Fatalf("DecodeVector allocates %.1f times per call", allocs)
+	}
+}
+
+// sampleRef is Sample as it costed cuts before: a full encode index
+// per candidate, counting the sampled values that miss it.
+func sampleRef(values []float64) (p uint8, cw uint, dict []uint16) {
+	sample := rowGroupSample(values)
+	bestCost := math.MaxFloat64
+	for cut := minRight; cut <= maxRight; cut++ {
+		enc, _ := buildEncoder(sample, uint8(cut))
+		cost := 64.0
+		if len(sample) > 0 {
+			index := enc.encodeIndex()
+			exc := 0
+			for _, bits := range sample {
+				if index[uint16(bits>>enc.P)] == 0 {
+					exc++
+				}
+			}
+			excFrac := float64(exc) / float64(len(sample))
+			cost = float64(enc.P) + float64(enc.CodeWidth) + excFrac*32
+		}
+		if cost < bestCost {
+			bestCost = cost
+			p, cw, dict = enc.P, enc.CodeWidth, enc.Dict
+		}
+	}
+	return p, cw, dict
+}
+
+// TestSampleCostsFromHitCounts checks that costing each cut from the
+// dictionary's hit count picks what counting index misses picked, so
+// encodings stay byte-identical.
+func TestSampleCostsFromHitCounts(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	inputs := [][]float64{
+		poiLike(r, 4096),
+		{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.MaxFloat64, 5e-324},
+		nil,
+	}
+	for k := 0; k < 20; k++ {
+		raw := make([]float64, 1+r.Intn(3000))
+		for i := range raw {
+			raw[i] = math.Float64frombits(r.Uint64() >> uint(r.Intn(12)))
+		}
+		inputs = append(inputs, raw)
+	}
+	for k, values := range inputs {
+		e := Sample(values)
+		p, cw, dict := sampleRef(values)
+		if e.P != p || e.CodeWidth != cw || !slices.Equal(e.Dict, dict) {
+			t.Fatalf("input %d: Sample chose p=%d cw=%d dict=%v, reference p=%d cw=%d dict=%v",
+				k, e.P, e.CodeWidth, e.Dict, p, cw, dict)
+		}
+	}
+}
+
+// TestEncodeIndexConcurrentFirstUse encodes through a fresh decoding
+// encoder from several goroutines at once: the lazily built index must
+// be built once and give every caller the same vector.
+func TestEncodeIndexConcurrentFirstUse(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	src := poiLike(r, 1024)
+	s := Sample(src)
+	want := s.EncodeVector(src)
+	e := NewEncoder(s.P, s.CodeWidth, s.Dict)
+	var wg sync.WaitGroup
+	got := make([]Vector, 4)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = e.EncodeVector(src)
+		}()
+	}
+	wg.Wait()
+	for g, v := range got {
+		if !slices.Equal(v.RightWords, want.RightWords) || !slices.Equal(v.CodeWords, want.CodeWords) ||
+			!slices.Equal(v.ExcPos, want.ExcPos) || !slices.Equal(v.ExcLeft, want.ExcLeft) {
+			t.Fatalf("goroutine %d encoded a different vector", g)
 		}
 	}
 }

@@ -137,30 +137,6 @@ func UnpackGeneric(dst, src []uint64, w uint, base uint64) {
 	}
 }
 
-// packBlock packs one 64-value block through the specialized kernel for
-// width w.
-func packBlock(dst []uint64, src *[BlockSize]uint64, w uint, base uint64) {
-	if w == 64 {
-		for i, v := range src {
-			dst[i] = v - base
-		}
-		return
-	}
-	packKernels[w](dst, src, base)
-}
-
-// unpackBlock unpacks one 64-value block through the specialized kernel
-// for width w.
-func unpackBlock(dst *[BlockSize]uint64, src []uint64, w uint, base uint64) {
-	if w == 64 {
-		for i := range dst {
-			dst[i] = src[i] + base
-		}
-		return
-	}
-	unpackKernels[w](dst, src, base)
-}
-
 // UnpackBlockGeneric exposes the generic loop at block granularity so
 // the Figure 4 ablation can time "Scalar" against the specialized
 // kernels on identical inputs.

@@ -6,13 +6,16 @@
 // monotone in the encoded integer for a fixed combination — and run
 // the fused FFOR unpack+compare kernel, patching exception slots with
 // the float-domain predicate. ALP_rd vectors have no order-preserving
-// integer domain (the front bits are a dictionary code), so they fall
-// back to decode-then-filter. Both paths produce the same selection
-// bitmap a plain decode-and-compare scan would. Filtered aggregates
-// fold the qualifying rows in registers (AggVectors).
+// integer domain (the front bits are a dictionary code), so they are
+// decoded and compared in the float domain, each 64-row selection word
+// built without data-dependent branches; the rows are then compacted
+// by walking the set bits. Both paths produce the same
+// selection bitmap a plain decode-and-compare scan would. Filtered
+// aggregates fold the qualifying rows in registers (AggVectors).
 package format
 
 import (
+	"math/bits"
 	"time"
 
 	"github.com/goalp/alp/internal/alpenc"
@@ -127,37 +130,54 @@ func (c *Column) FilterGatherVector(i int, lo, hi float64, sel []uint64, out []f
 		}
 		return count, true
 	}
-	// ALP_rd fallback: decode into out, then compact qualifying rows
-	// forward in place (the write index never passes the read index).
+	// ALP_rd: decode into out, then compact qualifying rows forward in
+	// place.
 	v := &rg.RDVectors[local]
 	rg.RD.DecodeVector(v, out[:v.N])
 	count = filterFloats(out[:v.N], lo, hi, sel)
-	w := 0
-	for r := 0; r < v.N; r++ {
-		if sel[r>>6]&(1<<uint(r&63)) != 0 {
-			out[w] = out[r]
-			w++
-		}
-	}
+	gatherSelected(out, out[:v.N], sel)
 	return count, false
 }
 
 // filterFloats evaluates the predicate over decoded floats, filling
 // sel and returning the match count (the fallback comparand of the
-// pushdown kernel).
+// pushdown kernel). Each 64-row selection word is built from
+// branch-free compares, as the fused FFOR filter kernel builds its
+// own, so random real doubles cost no mispredicted branches.
 func filterFloats(vals []float64, lo, hi float64, sel []uint64) int {
-	nw := fastlanes.SelWords(len(vals))
-	for i := 0; i < nw; i++ {
-		sel[i] = 0
-	}
 	count := 0
-	for i, x := range vals {
-		if x >= lo && x <= hi {
-			sel[i>>6] |= 1 << uint(i&63)
-			count++
+	for i := 0; i < len(vals); i += 64 {
+		var word uint64
+		for j, x := range vals[i:min(i+64, len(vals))] {
+			var ge, le uint64
+			if x >= lo {
+				ge = 1
+			}
+			if x <= hi {
+				le = 1
+			}
+			word |= (ge & le) << (uint(j) & 63)
 		}
+		sel[i>>6] = word
+		count += bits.OnesCount64(word)
 	}
 	return count
+}
+
+// gatherSelected writes the rows of src whose bit is set in sel to dst,
+// in position order, and returns how many it wrote. It walks the set
+// bits, so its branches follow the words, not the rows. dst may be src
+// itself: the write index never passes the read index.
+func gatherSelected(dst, src []float64, sel []uint64) int {
+	n := 0
+	for w, word := range sel[:fastlanes.SelWords(len(src))] {
+		for word != 0 {
+			dst[n] = src[w<<6|bits.TrailingZeros64(word)]
+			word &= word - 1
+			n++
+		}
+	}
+	return n
 }
 
 // FilterAggResult carries the aggregates of a filtered scan. Min and

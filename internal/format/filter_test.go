@@ -153,33 +153,125 @@ func TestFilterVectorMatchesDecode(t *testing.T) {
 	}
 }
 
-func TestFilterVectorRDFallback(t *testing.T) {
-	// Real doubles force ALP_rd: FilterVector must take the fallback
-	// path and still agree with the oracle.
+// rdEdgeColumn is an ALP_rd column of real doubles with NaN payloads,
+// infinities, signed zeros and subnormals spliced in, at vector edges
+// too, whose last vector's length is not a multiple of 64.
+func rdEdgeColumn(t *testing.T) ([]float64, *Column) {
+	t.Helper()
 	r := rand.New(rand.NewSource(19))
-	values := make([]float64, 2*vector.Size)
+	values := make([]float64, 2*vector.Size+1000)
 	for i := range values {
 		values[i] = r.NormFloat64()
 	}
+	specials := []float64{
+		math.Float64frombits(0x7FF8DEADBEEF0001), math.Float64frombits(0xFFF0000000000001),
+		math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		5e-324, -5e-324, math.Float64frombits(0x000FFFFFFFFFFFFF),
+	}
+	for k, pos := range []int{0, 63, 64, 700, vector.Size - 1, vector.Size, 1500, 2*vector.Size + 999, 2*vector.Size + 960} {
+		values[pos] = specials[k%len(specials)]
+	}
+	c := EncodeColumn(values)
+	for g := range c.RowGroups {
+		if c.RowGroups[g].Scheme != SchemeRD {
+			t.Fatalf("row-group %d sampled to scheme %v, want ALP_rd", g, c.RowGroups[g].Scheme)
+		}
+	}
+	return values, c
+}
+
+// TestFilterVectorRDFallback runs FilterVector and FilterGatherVector
+// over every ALP_rd vector at the bounds of TestPredicateEdgeCases: the
+// bitmap, the count and the gathered rows must equal a compare over the
+// original rows, bit for bit.
+func TestFilterVectorRDFallback(t *testing.T) {
+	values, c := rdEdgeColumn(t)
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name   string
+		lo, hi float64
+	}{
+		{"NaN lower bound", math.NaN(), 1},
+		{"NaN upper bound", -1, math.NaN()},
+		{"zero-zero band matches both zeros", 0, 0},
+		{"negative zero point band", negZero, negZero},
+		{"negative zero lower bound", negZero, 0.5},
+		{"plus inf only", math.Inf(1), math.Inf(1)},
+		{"minus inf only", math.Inf(-1), math.Inf(-1)},
+		{"unbounded both sides skips NaN", math.Inf(-1), math.Inf(1)},
+		{"subnormals and zeros", -1e-300, 1e-300},
+		{"middle band", -0.5, 0.5},
+		{"point band on a stored value", values[777], values[777]},
+		{"empty band between values", values[777], math.Nextafter(values[777], math.Inf(-1))},
+		{"inverted band", 1, -1},
+	}
+	sel := make([]uint64, SelWords)
+	gsel := make([]uint64, SelWords)
+	buf := make([]float64, vector.Size)
+	out := make([]float64, vector.Size)
+	scratch := make([]int64, vector.Size)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < c.NumVectors(); i++ {
+				lo, hi := vector.Bounds(i, len(values))
+				want := make([]uint64, fastlanes.SelWords(hi-lo))
+				var rows []float64
+				for r, x := range values[lo:hi] {
+					if x >= tc.lo && x <= tc.hi {
+						want[r>>6] |= 1 << uint(r&63)
+						rows = append(rows, x)
+					}
+				}
+				count, pushdown := c.FilterVector(i, tc.lo, tc.hi, sel, buf, scratch)
+				gcount, gpushdown := c.FilterGatherVector(i, tc.lo, tc.hi, gsel, out, scratch)
+				if pushdown || gpushdown {
+					t.Fatalf("vector %d: an ALP_rd vector reported pushdown", i)
+				}
+				if count != len(rows) || gcount != len(rows) {
+					t.Fatalf("vector %d: FilterVector counted %d, FilterGatherVector %d, want %d", i, count, gcount, len(rows))
+				}
+				for w := range want {
+					if sel[w] != want[w] || gsel[w] != want[w] {
+						t.Fatalf("vector %d word %d: FilterVector %#x, FilterGatherVector %#x, want %#x", i, w, sel[w], gsel[w], want[w])
+					}
+				}
+				for r, x := range rows {
+					if math.Float64bits(out[r]) != math.Float64bits(x) {
+						t.Fatalf("vector %d gathered row %d = %#x, want %#x", i, r, math.Float64bits(out[r]), math.Float64bits(x))
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFilterGatherVectorRD times filter-and-gather over an ALP_rd
+// row-group of POI-like doubles at 1% and 50% selectivity.
+func BenchmarkFilterGatherVectorRD(b *testing.B) {
+	r := rand.New(rand.NewSource(20))
+	values := make([]float64, vector.RowGroupSize)
+	for i := range values {
+		values[i] = (r.Float64()*180 - 90) * math.Pi / 180
+	}
 	c := EncodeColumn(values)
 	if !c.UsedRD() {
-		t.Skip("sampler unexpectedly chose the decimal scheme")
+		b.Fatal("POI-like row-group did not sample to ALP_rd")
 	}
 	sel := make([]uint64, SelWords)
 	out := make([]float64, vector.Size)
 	scratch := make([]int64, vector.Size)
-	lo, hi := -0.5, 0.5
-	total := 0
-	for i := 0; i < c.NumVectors(); i++ {
-		count, pushdown := c.FilterGatherVector(i, lo, hi, sel, out, scratch)
-		if pushdown {
-			t.Fatalf("vector %d: ALP_rd cannot push down", i)
-		}
-		total += count
-	}
-	want := aggOracle(values, lo, hi)
-	if total != want.Count {
-		t.Fatalf("fallback count = %d, want %d", total, want.Count)
+	for _, band := range []struct {
+		name   string
+		lo, hi float64
+	}{{"1pct", 0, 0.0157}, {"50pct", 0, math.Pi / 2}} {
+		b.Run(band.name, func(b *testing.B) {
+			b.SetBytes(int64(len(values)) * 8)
+			for k := 0; k < b.N; k++ {
+				for i := 0; i < c.NumVectors(); i++ {
+					c.FilterGatherVector(i, band.lo, band.hi, sel, out, scratch)
+				}
+			}
+		})
 	}
 }
 

@@ -215,9 +215,11 @@ func (w *ScanWriter) Frame(i int, lo, hi float64) (frame []byte, count int, kind
 		return w.finishFrame(kind), count, kind, true
 	}
 
-	// ALP_rd: no order-preserving integer domain, so the selection is
-	// computed in the float domain and the only encodings are dense
-	// (stored envelope + bitmap) and raw.
+	// ALP_rd: no order-preserving integer domain, so the vector is
+	// decoded and the selection computed with branch-free float
+	// compares. The only encodings are dense (stored envelope + bitmap)
+	// and raw (the selected rows, compacted by walking the bitmap's set
+	// bits).
 	v := &rg.RDVectors[local]
 	rg.RD.DecodeVector(v, w.buf[:v.N])
 	count = filterFloats(w.buf[:v.N], lo, hi, w.sel[:])
@@ -231,15 +233,7 @@ func (w *ScanWriter) Frame(i int, lo, hi float64) (frame []byte, count int, kind
 		w.appendDensePayload(i, count, v.N)
 		kind = ScanFrameDense
 	} else {
-		// Compact qualifying rows forward in place (the write index
-		// never passes the read index).
-		n := 0
-		for r := 0; r < v.N; r++ {
-			if w.sel[r>>6]&(1<<uint(r&63)) != 0 {
-				w.buf[n] = w.buf[r]
-				n++
-			}
-		}
+		gatherSelected(w.buf, w.buf[:v.N], w.sel[:])
 		w.appendRawPayload(count)
 		kind = ScanFrameRaw
 	}
@@ -346,6 +340,64 @@ func NewScanDecoder(data []byte) (*ScanDecoder, error) {
 
 // Rows returns the number of rows decoded so far.
 func (d *ScanDecoder) Rows() int { return d.rows }
+
+// minEnvelopeSize is the shortest ALPV envelope: an ALP_rd vector with
+// cut position 0, code width 0, no dictionary and no exceptions.
+const minEnvelopeSize = 12
+
+// SizeHint returns the number of rows the remaining frames claim, read
+// from their headers alone: payload length ÷ 8 for a raw frame, the
+// count field for a dense frame and the envelope's N for a repacked
+// frame. A frame counts only as many rows as its payload length can
+// hold, and the walk stops at the first frame the stream cannot hold,
+// so a forged header cannot claim more than the stream could decode
+// to. For a valid stream the hint is exactly the row count; Next still
+// checks everything the hint skips.
+func (d *ScanDecoder) SizeHint() int {
+	rows := 0
+	for pos := d.pos; len(d.data)-pos >= scanFrameOverhead; {
+		plen := int(binary.LittleEndian.Uint32(d.data[pos+1:]))
+		if plen > maxScanFramePayload || len(d.data)-pos-scanFrameOverhead < plen {
+			break
+		}
+		rows += frameClaim(ScanFrameKind(d.data[pos]), d.data[pos+5:pos+5+plen])
+		pos += scanFrameOverhead + plen
+	}
+	return rows
+}
+
+// frameClaim returns the rows a frame's header claims, or 0 when its
+// payload is too short to carry them.
+func frameClaim(kind ScanFrameKind, payload []byte) int {
+	switch kind {
+	case ScanFrameRaw:
+		if n := len(payload) / 8; n <= vector.Size {
+			return n
+		}
+	case ScanFrameDense:
+		// count | total | bitmap | an envelope of at least
+		// minEnvelopeSize bytes.
+		if len(payload) < denseExtraSize {
+			return 0
+		}
+		count := int(binary.LittleEndian.Uint16(payload))
+		total := int(binary.LittleEndian.Uint16(payload[2:]))
+		if count <= total && total <= vector.Size &&
+			len(payload) >= denseExtraSize+8*fastlanes.SelWords(total)+minEnvelopeSize {
+			return count
+		}
+	case ScanFrameRepacked:
+		// An ALPV envelope: N at byte 7, the FFOR width at byte 17.
+		if len(payload) < alpEnvelopeSize(0, 0, 0) {
+			return 0
+		}
+		n := int(binary.LittleEndian.Uint16(payload[7:]))
+		if n <= vector.Size && len(payload) >= alpEnvelopeSize(n, uint(payload[17]), 0) {
+			return n
+		}
+	}
+	return 0
+}
 
 // Next decodes the next frame and returns its rows, in position order.
 // The returned slice is reused by the next call. io.EOF signals a
@@ -479,17 +531,7 @@ func (d *ScanDecoder) decodeDense(payload []byte) ([]float64, error) {
 			return d.out[:total], nil
 		}
 		env.RDEnc.DecodeVector(&env.RD, d.tmp[:total])
-		n := 0
-		for w := 0; w < nw; w++ {
-			word := d.sel[w]
-			for word != 0 {
-				i := w<<6 | bits.TrailingZeros64(word)
-				word &= word - 1
-				d.out[n] = d.tmp[i]
-				n++
-			}
-		}
-		return d.out[:n], nil
+		return d.out[:gatherSelected(d.out, d.tmp[:total], d.sel[:])], nil
 	}
 	if env.ALP.N != total {
 		return nil, corrupt("dense scan frame envelope holds %d rows, header says %d", env.ALP.N, total)

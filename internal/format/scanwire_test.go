@@ -28,10 +28,14 @@ func decodeStream(t *testing.T, stream []byte) []float64 {
 	if err != nil {
 		t.Fatalf("NewScanDecoder: %v", err)
 	}
+	hint := d.SizeHint()
 	var out []float64
 	for {
 		rows, err := d.Next()
 		if err == io.EOF {
+			if hint != len(out) {
+				t.Fatalf("SizeHint = %d for a valid stream of %d rows", hint, len(out))
+			}
 			return out
 		}
 		if err != nil {

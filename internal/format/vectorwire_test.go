@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/goalp/alp/internal/vector"
@@ -53,6 +54,34 @@ func TestVectorEnvelopeRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUnmarshalVectorRDAllocations decodes one ALP_rd envelope: the
+// only allocations left are the parsed payload words and dictionary,
+// not an encode index or per-row decode arrays.
+func TestUnmarshalVectorRDAllocations(t *testing.T) {
+	col := EncodeColumn(wireDatasets()["reals"])
+	if !col.UsedRD() {
+		t.Fatal("real doubles did not sample to ALP_rd")
+	}
+	env, err := col.MarshalVector(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, vector.Size)
+	scratch := make([]int64, vector.Size)
+	const calls = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < calls; k++ {
+		if _, err := UnmarshalVector(env, dst, scratch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 16<<10 {
+		t.Fatalf("UnmarshalVector of a %d-byte ALP_rd envelope allocates %d bytes", len(env), perCall)
 	}
 }
 
