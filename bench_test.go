@@ -253,15 +253,15 @@ func BenchmarkALPRD(b *testing.B) {
 	b.Run("compress", func(b *testing.B) {
 		b.SetBytes(vector.Size * 8)
 		for i := 0; i < b.N; i++ {
-			enc.EncodeVector(vec)
+			alprd.EncodeVector(enc, vec)
 		}
 	})
-	v := enc.EncodeVector(vec)
+	v := alprd.EncodeVector(enc, vec)
 	dst := make([]float64, len(vec))
 	b.Run("decompress", func(b *testing.B) {
 		b.SetBytes(vector.Size * 8)
 		for i := 0; i < b.N; i++ {
-			enc.DecodeVector(&v, dst)
+			alprd.DecodeVector(enc, &v, dst)
 		}
 	})
 }

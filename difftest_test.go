@@ -71,8 +71,8 @@ func alprdRoundTrip(values []float64) []float64 {
 	enc := alprd.Sample(values)
 	for v := 0; v < vector.VectorsIn(len(values)); v++ {
 		lo, hi := vector.Bounds(v, len(values))
-		ev := enc.EncodeVector(values[lo:hi])
-		enc.DecodeVector(&ev, out[lo:hi])
+		ev := alprd.EncodeVector(enc, values[lo:hi])
+		alprd.DecodeVector(enc, &ev, out[lo:hi])
 	}
 	return out
 }

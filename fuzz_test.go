@@ -270,6 +270,7 @@ func FuzzOpen(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)                        // bit-flipped payload
 	f.Add(Encode32([]float32{1.5, -0.5})) // 32-bit stream into both readers
+	f.Add(Encode32(goldenWeights32(256))) // ALP_rd-32 stream
 	f.Fuzz(func(t *testing.T, data []byte) {
 		col, err := Open(data)
 		if err != nil {

@@ -2,34 +2,130 @@ package alpenc
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/goalp/alp/internal/vector"
 )
 
-func TestFastRound(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want int64
-	}{
+// fastRoundCase is one fast-rounding input: in lies within ±limit and
+// rounds to want, ties to even.
+type fastRoundCase[T vector.Float] struct {
+	in   T
+	want int64
+}
+
+// ulpAway returns the neighbour of x one ulp further from zero, and
+// ulpToward the one one ulp closer to zero (x finite and non-zero).
+func ulpAway[T vector.Float](x T) T   { return vector.FromBits[T](vector.ToBits(x) + 1) }
+func ulpToward[T vector.Float](x T) T { return vector.FromBits[T](vector.ToBits(x) - 1) }
+
+// boundaryCases are the fast-rounding cases every width shares: ±limit,
+// one ulp inside it, and ties next to it, which must round to even.
+func boundaryCases[T vector.Float]() []fastRoundCase[T] {
+	limit := widthOf[T]().limit
+	l := int64(limit)
+	return []fastRoundCase[T]{
 		{0, 0}, {1, 1}, {-1, -1}, {1.4, 1}, {1.6, 2}, {-1.4, -1}, {-1.6, -2},
-		{80604.99999999985448, 80605}, {123456789.2, 123456789},
+		{0.5, 0}, {1.5, 2}, {2.5, 2}, {-2.5, -2},
+		{limit, l}, {-limit, -l},
+		{ulpToward(limit), l}, {ulpToward(-limit), -l},
+		{limit - 0.5, l}, {limit - 1.5, l - 2},
+		{-limit + 0.5, -l}, {-limit + 1.5, -l + 2},
 	}
+}
+
+func checkFastRound[T vector.Float](t *testing.T, cases []fastRoundCase[T]) {
+	t.Helper()
+	w := widthOf[T]()
 	for _, c := range cases {
-		if got := fastRound(c.in); got != c.want {
-			t.Errorf("fastRound(%v) = %d, want %d", c.in, got, c.want)
+		if c.in < -w.limit || c.in > w.limit {
+			t.Fatalf("%T case %v lies outside ±%v", c.in, c.in, w.limit)
+		}
+		if got := fastRound(c.in, w.sweet); got != c.want {
+			t.Errorf("fastRound(%T %v) = %d, want %d", c.in, c.in, got, c.want)
+		}
+		if want := int64(math.RoundToEven(float64(c.in))); want != c.want {
+			t.Errorf("%T case %v: want %d, but RoundToEven gives %d", c.in, c.in, c.want, want)
+		}
+	}
+}
+
+// TestFastRound checks the sweet-spot rounding of doubles on a table:
+// small values, halves, ±limit, one ulp inside it and the ties next to
+// it.
+func TestFastRound(t *testing.T) {
+	checkFastRound(t, append(boundaryCases[float64](),
+		fastRoundCase[float64]{80604.99999999985448, 80605},
+		fastRoundCase[float64]{123456789.2, 123456789}))
+}
+
+// TestFastRound32 checks the same table at float32, plus ties that
+// float32 holds exactly.
+func TestFastRound32(t *testing.T) {
+	checkFastRound(t, append(boundaryCases[float32](),
+		fastRoundCase[float32]{80604.5, 80604},
+		fastRoundCase[float32]{80605.5, 80606}))
+}
+
+// fastRoundMatchesRoundToEven checks fastRound against math.RoundToEven
+// on 10k random values within ±limit: every fourth value a tie
+// (k + 0.5), the rest spread over every binade up to the limit.
+func fastRoundMatchesRoundToEven[T vector.Float](t *testing.T, seed int64) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	w := widthOf[T]()
+	e := bits.Len64(uint64(w.limit)) - 1
+	for i := 0; i < 10000; i++ {
+		var x T
+		if i%4 == 0 {
+			x = T(r.Int63n(int64(w.limit))-int64(w.limit)/2) + 0.5
+		} else {
+			x = T(math.Ldexp(2*r.Float64()-1, r.Intn(e+1)))
+		}
+		if got, want := fastRound(x, w.sweet), int64(math.RoundToEven(float64(x))); got != want {
+			t.Fatalf("fastRound(%T %v) = %d, want %d", x, x, got, want)
 		}
 	}
 }
 
 func TestFastRoundMatchesRoundToEven(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 10000; i++ {
-		x := (r.Float64() - 0.5) * 1e9
-		if got, want := fastRound(x), int64(math.RoundToEven(x)); got != want {
-			t.Fatalf("fastRound(%v) = %d, want %d", x, got, want)
+	fastRoundMatchesRoundToEven[float64](t, 1)
+	fastRoundMatchesRoundToEven[float32](t, 2)
+}
+
+// limitExceptions encodes the values around the fast-rounding limit and
+// the specials: ±limit encode, while one ulp past it, NaN (payload
+// included), ±Inf and -0 each become an exception, and all of them
+// decode bit-exactly.
+func limitExceptions[T vector.Float](t *testing.T) {
+	t.Helper()
+	limit := widthOf[T]().limit
+	inf := T(math.Inf(1))
+	src := []T{limit, -limit, 3}
+	excepted := []T{
+		ulpAway(limit), ulpAway(-limit), T(math.NaN()), vector.FromBits[T](vector.ToBits(inf) | 1),
+		inf, -inf, T(math.Copysign(0, -1)),
+	}
+	src = append(src, excepted...)
+	v := EncodeVector(src, Combo{}, nil)
+	if want := uint16(len(src) - len(excepted)); v.Exceptions() != len(excepted) || v.ExcPos[0] != want {
+		t.Fatalf("%T: exceptions at %v, want every position from %d", limit, v.ExcPos, want)
+	}
+	got := make([]T, len(src))
+	v.Decode(got, nil)
+	for i := range src {
+		if vector.ToBits(got[i]) != vector.ToBits(src[i]) {
+			t.Fatalf("%T value %d: got bits %#x, want %#x", limit, i, vector.ToBits(got[i]), vector.ToBits(src[i]))
 		}
 	}
+}
+
+func TestFastRoundLimitExceptions(t *testing.T) {
+	limitExceptions[float64](t)
+	limitExceptions[float32](t)
 }
 
 // TestPaperExample walks the worked example of §2.6: the double nearest
@@ -37,7 +133,7 @@ func TestFastRoundMatchesRoundToEven(t *testing.T) {
 func TestPaperExample(t *testing.T) {
 	n := 8.0605 // the double 8.0604999999999933209...
 	scaled := n * F10[14] * IF10[10]
-	d := fastRound(scaled)
+	d := fastRound(scaled, width64.sweet)
 	if d != 80605 {
 		t.Fatalf("ALP_enc(8.0605, e=14, f=10) = %d, want 80605", d)
 	}
@@ -47,7 +143,7 @@ func TestPaperExample(t *testing.T) {
 			back, math.Float64bits(back), n, math.Float64bits(n))
 	}
 	// And, per §2.5, the naive e=4 procedure fails on the same value.
-	d4 := fastRound(n * F10[4])
+	d4 := fastRound(n*F10[4], width64.sweet)
 	back4 := float64(d4) * IF10[4]
 	if math.Float64bits(back4) == math.Float64bits(n) {
 		t.Fatal("P_dec with e=4 unexpectedly recovered the double; the paper's premise would not hold")
@@ -318,30 +414,18 @@ func TestFindBestPrefersHighExponents(t *testing.T) {
 
 // ---- float32 ----
 
-func TestFastRound32(t *testing.T) {
-	cases := []struct {
-		in   float32
-		want int64
-	}{{0, 0}, {1.4, 1}, {1.6, 2}, {-1.6, -2}, {80604.5, 80604}, {80605.5, 80606}}
-	for _, c := range cases {
-		if got := fastRound32(c.in); got != c.want {
-			t.Errorf("fastRound32(%v) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 func TestRoundTrip32Decimals(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	src := make([]float32, 1024)
 	for i := range src {
 		src[i] = float32(r.Intn(10000)) / 100
 	}
-	dec := SampleRowGroup32(src)
+	dec := SampleRowGroup(src)
 	if dec.UseRD {
 		t.Fatal("decimal float32 data must not switch to ALP_rd")
 	}
-	c, _ := ChooseForVector32(src, dec.Combos)
-	v := EncodeVector32(src, c, nil)
+	c, _ := ChooseForVector(src, dec.Combos)
+	v := EncodeVector(src, c, nil)
 	got := make([]float32, len(src))
 	v.Decode(got, nil)
 	for i := range src {
@@ -356,13 +440,13 @@ func TestRoundTrip32Decimals(t *testing.T) {
 
 func TestQuickLossless32(t *testing.T) {
 	f := func(raw []uint32, e8, f8 uint8) bool {
-		e := e8 % (MaxExponent32 + 1)
+		e := e8 % uint8(widthOf[float32]().maxExponent()+1)
 		fa := f8 % (e + 1)
 		src := make([]float32, len(raw))
 		for i, b := range raw {
 			src[i] = math.Float32frombits(b)
 		}
-		v := EncodeVector32(src, Combo{E: e, F: fa}, nil)
+		v := EncodeVector(src, Combo{E: e, F: fa}, nil)
 		got := make([]float32, len(src))
 		v.Decode(got, nil)
 		for i := range src {
@@ -383,29 +467,47 @@ func TestSampler32DetectsWeights(t *testing.T) {
 	for i := range values {
 		values[i] = float32(r.NormFloat64()) * 0.02 // ML-weight-like
 	}
-	dec := SampleRowGroup32(values)
+	dec := SampleRowGroup(values)
 	if !dec.UseRD {
 		t.Fatalf("weight-like float32 data must switch to ALP_rd (estimate %.1f)", dec.EstBitsPerValue)
 	}
 }
 
-func BenchmarkEncodeVector(b *testing.B) {
+// benchDecimals is the kernel benchmarks' input: 1024 2-decimal values.
+func benchDecimals[T vector.Float]() []T {
 	r := rand.New(rand.NewSource(10))
-	src := decimals(r, 1024, 2)
+	src := make([]T, 1024)
+	for i := range src {
+		src[i] = T(r.Intn(1_000_000)) / 100
+	}
+	return src
+}
+
+func BenchmarkEncodeVector(b *testing.B) {
+	b.Run("float64", benchEncodeVector[float64])
+	b.Run("float32", benchEncodeVector[float32])
+}
+
+func benchEncodeVector[T vector.Float](b *testing.B) {
+	src := benchDecimals[T]()
 	scratch := make([]int64, 1024)
-	b.SetBytes(1024 * 8)
+	b.SetBytes(int64(len(src)) * int64(vector.BitWidth[T]()/8))
 	for i := 0; i < b.N; i++ {
 		EncodeVector(src, Combo{E: 2, F: 0}, scratch)
 	}
 }
 
 func BenchmarkDecodeVector(b *testing.B) {
-	r := rand.New(rand.NewSource(10))
-	src := decimals(r, 1024, 2)
+	b.Run("float64", benchDecodeVector[float64])
+	b.Run("float32", benchDecodeVector[float32])
+}
+
+func benchDecodeVector[T vector.Float](b *testing.B) {
+	src := benchDecimals[T]()
 	v := EncodeVector(src, Combo{E: 2, F: 0}, nil)
-	dst := make([]float64, 1024)
+	dst := make([]T, 1024)
 	scratch := make([]int64, 1024)
-	b.SetBytes(1024 * 8)
+	b.SetBytes(int64(len(src)) * int64(vector.BitWidth[T]()/8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v.Decode(dst, scratch)

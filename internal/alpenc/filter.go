@@ -4,13 +4,14 @@ import (
 	"math/bits"
 
 	"github.com/goalp/alp/internal/fastlanes"
+	"github.com/goalp/alp/internal/vector"
 )
 
 // Predicate translation into the encoded-integer domain.
 //
 // For a fixed combination (e, f) the decode map
 //
-//	dec(d) = fl(fl(float64(d) * 10^f) * 10^-e)
+//	dec(d) = fl(fl(T(d) * 10^f) * 10^-e)
 //
 // is monotone non-decreasing in d: each step is a multiplication by a
 // positive constant, and IEEE-754 round-to-nearest is a monotone
@@ -24,18 +25,9 @@ import (
 //
 // — an upward-closed set intersected with a downward-closed one. The
 // boundaries are found by binary search over the encodable range
-// (fast rounding confines encoded integers to ±2^51), which makes the
-// translation exact with ~2·52 multiplications per vector, amortized
-// over 1024 values.
-
-// decLimit bounds the encoded-integer search space: fastRound only
-// produces integers in [-2^51, 2^51].
-const decLimit = int64(1) << 51
-
-// decodeOne applies Formula 2 to a single encoded integer.
-func decodeOne(d int64, df, de float64) float64 {
-	return float64(d) * df * de
-}
+// (fast rounding confines encoded integers to ±2^51 for float64 and
+// ±2^22 for float32), which makes the translation exact with ~2·52
+// multiplications per vector, amortized over 1024 values.
 
 // EncodedRange translates the closed float interval [lo, hi] (infinite
 // endpoints allowed, NaN not allowed) into the encoded-integer domain
@@ -43,23 +35,31 @@ func decodeOne(d int64, df, de float64) float64 {
 // of a vector using (e, f) satisfies dec(d) ∈ [lo, hi] ⟺ d ∈
 // [dlo, dhi]. ok=false means no encodable integer can qualify (the
 // caller still has to evaluate the float predicate over exceptions).
-func EncodedRange(lo, hi float64, e, f uint8) (dlo, dhi int64, ok bool) {
-	df, de := F10[f], IF10[e]
-	if decodeOne(decLimit, df, de) < lo || decodeOne(-decLimit, df, de) > hi {
+// Encoded integers lie within ±widthOf[T]().limit, so the search does.
+func EncodedRange[T vector.Float](lo, hi T, e, f uint8) (dlo, dhi int64, ok bool) {
+	w := widthOf[T]()
+	df, de := w.f10[f], w.if10[e]
+	limit := int64(w.limit)
+	if decodeOne(limit, df, de) < lo || decodeOne(-limit, df, de) > hi {
 		return 0, 0, false
 	}
-	dlo = encodedLowerBound(lo, df, de)
-	dhi = encodedUpperBound(hi, df, de)
+	dlo = encodedLowerBound(lo, limit, df, de)
+	dhi = encodedUpperBound(hi, limit, df, de)
 	if dlo > dhi {
 		return 0, 0, false
 	}
 	return dlo, dhi, true
 }
 
-// encodedLowerBound returns the smallest d in [-2^51, 2^51] with
+// decodeOne applies Formula 2 to a single encoded integer.
+func decodeOne[T vector.Float](d int64, df, de T) T {
+	return T(d) * df * de
+}
+
+// encodedLowerBound returns the smallest d in [-limit, limit] with
 // dec(d) >= lo. The caller has checked that at least one such d exists.
-func encodedLowerBound(lo float64, df, de float64) int64 {
-	l, h := -decLimit, decLimit
+func encodedLowerBound[T vector.Float](lo T, limit int64, df, de T) int64 {
+	l, h := -limit, limit
 	for l < h {
 		m := l + (h-l)/2
 		if decodeOne(m, df, de) >= lo {
@@ -71,10 +71,10 @@ func encodedLowerBound(lo float64, df, de float64) int64 {
 	return l
 }
 
-// encodedUpperBound returns the largest d in [-2^51, 2^51] with
+// encodedUpperBound returns the largest d in [-limit, limit] with
 // dec(d) <= hi. The caller has checked that at least one such d exists.
-func encodedUpperBound(hi float64, df, de float64) int64 {
-	l, h := -decLimit, decLimit
+func encodedUpperBound[T vector.Float](hi T, limit int64, df, de T) int64 {
+	l, h := -limit, limit
 	for l < h {
 		m := l + (h-l+1)/2
 		if decodeOne(m, df, de) <= hi {
@@ -101,7 +101,7 @@ func encodedUpperBound(hi float64, df, de float64) int64 {
 //
 // scratch must hold v.N int64s; on return it holds the raw packed
 // integers, the invariant GatherSelected relies on.
-func (v *Vector) Filter(lo, hi float64, sel []uint64, scratch []int64) int {
+func (v *VectorOf[T]) Filter(lo, hi T, sel []uint64, scratch []int64) int {
 	var count int
 	if dlo, dhi, ok := EncodedRange(lo, hi, v.E, v.F); ok {
 		count = v.Ints.FilterRange(dlo, dhi, sel, scratch)
@@ -133,8 +133,9 @@ func (v *Vector) Filter(lo, hi float64, sel []uint64, scratch []int64) int {
 // from the raw packed integers left in scratch, selected exception
 // rows come from the exception segment. Only qualifying rows are ever
 // converted to floats.
-func (v *Vector) GatherSelected(sel []uint64, scratch []int64, dst []float64) int {
-	df, de := F10[v.F], IF10[v.E]
+func (v *VectorOf[T]) GatherSelected(sel []uint64, scratch []int64, dst []T) int {
+	w := widthOf[T]()
+	df, de := w.f10[v.F], w.if10[v.E]
 	base := v.Ints.Base
 	n := 0
 	k := 0
@@ -149,7 +150,7 @@ func (v *Vector) GatherSelected(sel []uint64, scratch []int64, dst []float64) in
 			if k < len(v.ExcPos) && int(v.ExcPos[k]) == i {
 				dst[n] = v.ExcVals[k]
 			} else {
-				dst[n] = float64(scratch[i]+base) * df * de
+				dst[n] = T(scratch[i]+base) * df * de
 			}
 			n++
 		}

@@ -6,16 +6,11 @@ import (
 	"testing"
 
 	"github.com/goalp/alp/internal/fastlanes"
+	"github.com/goalp/alp/internal/vector"
 )
 
-// encodeForTest runs the sampler-free encode path: pick the combo by
-// brute force over a few candidates so tests control (e, f) pressure.
-func encodeForTest(values []float64, c Combo) Vector {
-	return EncodeVector(values, c, nil)
-}
-
 // filterVectorOracle evaluates the predicate over the original values.
-func filterVectorOracle(values []float64, lo, hi float64) ([]uint64, int) {
+func filterVectorOracle[T vector.Float](values []T, lo, hi T) ([]uint64, int) {
 	sel := make([]uint64, fastlanes.SelWords(len(values)))
 	count := 0
 	for i, x := range values {
@@ -27,24 +22,27 @@ func filterVectorOracle(values []float64, lo, hi float64) ([]uint64, int) {
 	return sel, count
 }
 
-func checkVectorFilter(t *testing.T, values []float64, c Combo, lo, hi float64) {
+// checkVectorFilter encodes values under c (no sampling, so tests
+// control the (e, f) pressure) and checks Filter and GatherSelected
+// against the oracle, bit for bit.
+func checkVectorFilter[T vector.Float](t *testing.T, values []T, c Combo, lo, hi T) {
 	t.Helper()
-	v := encodeForTest(values, c)
+	v := EncodeVector(values, c, nil)
 	sel := make([]uint64, fastlanes.SelWords(len(values)))
 	scratch := make([]int64, len(values))
 	got := v.Filter(lo, hi, sel, scratch)
 	wantSel, want := filterVectorOracle(values, lo, hi)
 	if got != want {
-		t.Fatalf("Filter([%v, %v]) count = %d, want %d (combo e=%d f=%d, %d exceptions)",
-			lo, hi, got, want, c.E, c.F, v.Exceptions())
+		t.Fatalf("%T Filter([%v, %v]) count = %d, want %d (combo e=%d f=%d, %d exceptions)",
+			lo, lo, hi, got, want, c.E, c.F, v.Exceptions())
 	}
 	for i := range wantSel {
 		if sel[i] != wantSel[i] {
-			t.Fatalf("Filter([%v, %v]) sel[%d] = %016x, want %016x", lo, hi, i, sel[i], wantSel[i])
+			t.Fatalf("%T Filter([%v, %v]) sel[%d] = %016x, want %016x", lo, lo, hi, i, sel[i], wantSel[i])
 		}
 	}
 	// Gather must reproduce the qualifying values bit-exactly, in order.
-	dst := make([]float64, len(values))
+	dst := make([]T, len(values))
 	n := v.GatherSelected(sel, scratch, dst)
 	if n != want {
 		t.Fatalf("GatherSelected wrote %d values, want %d", n, want)
@@ -52,48 +50,55 @@ func checkVectorFilter(t *testing.T, values []float64, c Combo, lo, hi float64) 
 	j := 0
 	for i, x := range values {
 		if x >= lo && x <= hi {
-			if math.Float64bits(dst[j]) != math.Float64bits(x) {
-				t.Fatalf("gathered[%d] = %x, want values[%d] = %x",
-					j, math.Float64bits(dst[j]), i, math.Float64bits(x))
+			if vector.ToBits(dst[j]) != vector.ToBits(x) {
+				t.Fatalf("%T gathered[%d] = %x, want values[%d] = %x",
+					x, j, vector.ToBits(dst[j]), i, vector.ToBits(x))
 			}
 			j++
 		}
 	}
 }
 
-func TestEncodedRangeMonotoneBoundaries(t *testing.T) {
-	// For a handful of combos and random bounds, the binary-searched
-	// boundaries must be exact: dec(dlo) >= lo, dec(dlo-1) < lo, and
-	// symmetrically for dhi.
+// encodedRangeBoundaries checks, for each combo and random bounds, that
+// the binary-searched boundaries are exact: dec(dlo) >= lo,
+// dec(dlo-1) < lo, and symmetrically for dhi.
+func encodedRangeBoundaries[T vector.Float](t *testing.T, combos []Combo) {
+	t.Helper()
 	r := rand.New(rand.NewSource(7))
-	combos := []Combo{{E: 0, F: 0}, {E: 2, F: 1}, {E: 14, F: 12}, {E: 21, F: 0}, {E: 21, F: 21}, {E: 5, F: 5}}
+	w := widthOf[T]()
+	limit := int64(w.limit)
 	for _, c := range combos {
-		df, de := F10[c.F], IF10[c.E]
+		df, de := w.f10[c.F], w.if10[c.E]
 		for trial := 0; trial < 200; trial++ {
-			lo := (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(10)))
-			hi := lo + r.Float64()*math.Pow(10, float64(r.Intn(8)))
+			lo := T((r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(10))))
+			hi := lo + T(r.Float64()*math.Pow(10, float64(r.Intn(8))))
 			dlo, dhi, ok := EncodedRange(lo, hi, c.E, c.F)
 			if !ok {
 				continue
 			}
 			if got := decodeOne(dlo, df, de); got < lo {
-				t.Fatalf("combo %v: dec(dlo=%d) = %v < lo = %v", c, dlo, got, lo)
+				t.Fatalf("%T combo %v: dec(dlo=%d) = %v < lo = %v", lo, c, dlo, got, lo)
 			}
-			if dlo > -decLimit {
+			if dlo > -limit {
 				if got := decodeOne(dlo-1, df, de); got >= lo {
-					t.Fatalf("combo %v: dec(dlo-1=%d) = %v >= lo = %v (dlo not minimal)", c, dlo-1, got, lo)
+					t.Fatalf("%T combo %v: dec(dlo-1=%d) = %v >= lo = %v (dlo not minimal)", lo, c, dlo-1, got, lo)
 				}
 			}
 			if got := decodeOne(dhi, df, de); got > hi {
-				t.Fatalf("combo %v: dec(dhi=%d) = %v > hi = %v", c, dhi, got, hi)
+				t.Fatalf("%T combo %v: dec(dhi=%d) = %v > hi = %v", lo, c, dhi, got, hi)
 			}
-			if dhi < decLimit {
+			if dhi < limit {
 				if got := decodeOne(dhi+1, df, de); got <= hi {
-					t.Fatalf("combo %v: dec(dhi+1=%d) = %v <= hi = %v (dhi not maximal)", c, dhi+1, got, hi)
+					t.Fatalf("%T combo %v: dec(dhi+1=%d) = %v <= hi = %v (dhi not maximal)", lo, c, dhi+1, got, hi)
 				}
 			}
 		}
 	}
+}
+
+func TestEncodedRangeMonotoneBoundaries(t *testing.T) {
+	encodedRangeBoundaries[float64](t, []Combo{{E: 0, F: 0}, {E: 2, F: 1}, {E: 14, F: 12}, {E: 21, F: 0}, {E: 21, F: 21}, {E: 5, F: 5}})
+	encodedRangeBoundaries[float32](t, []Combo{{E: 0, F: 0}, {E: 2, F: 1}, {E: 8, F: 6}, {E: 10, F: 0}, {E: 10, F: 10}, {E: 5, F: 5}})
 }
 
 func TestVectorFilterDecimals(t *testing.T) {
@@ -119,33 +124,42 @@ func TestVectorFilterDecimals(t *testing.T) {
 	}
 }
 
-func TestVectorFilterExceptions(t *testing.T) {
+// vectorFilterExceptions filters 2-decimal values sprinkled with
+// exception-forcing values: specials, an undecodable real and big, a
+// finite value far beyond the encodable range.
+func vectorFilterExceptions[T vector.Float](t *testing.T, big T) {
+	t.Helper()
 	r := rand.New(rand.NewSource(13))
-	values := make([]float64, 1024)
+	values := make([]T, 1024)
 	for i := range values {
-		values[i] = float64(r.Intn(10000)) / 100
+		values[i] = T(r.Intn(10000)) / 100
 	}
-	// Sprinkle exception-forcing values: specials and undecodable reals.
-	values[0] = math.NaN()
-	values[1] = math.Inf(1)
-	values[2] = math.Inf(-1)
-	values[3] = math.Copysign(0, -1)
+	inf := T(math.Inf(1))
+	values[0] = T(math.NaN())
+	values[1] = inf
+	values[2] = -inf
+	values[3] = T(math.Copysign(0, -1))
 	values[4] = math.Pi
-	values[511] = 1e300
-	values[1023] = math.NaN()
+	values[511] = big
+	values[1023] = T(math.NaN())
 	c := Combo{E: 2, F: 0}
-	bounds := [][2]float64{
+	bounds := [][2]T{
 		{0, 50},
-		{math.Inf(-1), math.Inf(1)}, // everything except NaN
-		{math.Inf(1), math.Inf(1)},  // only +Inf
-		{math.Inf(-1), math.Inf(-1)},
-		{0, 0},               // +0.0 and -0.0 both match
-		{3, 4},               // catches pi via exception patching
-		{1e299, math.Inf(1)}, // catches 1e300 and +Inf
+		{-inf, inf},     // everything except NaN
+		{inf, inf},      // only +Inf
+		{-inf, -inf},    // only -Inf
+		{0, 0},          // +0.0 and -0.0 both match
+		{3, 4},          // catches pi via exception patching
+		{big / 10, inf}, // catches big and +Inf
 	}
 	for _, b := range bounds {
 		checkVectorFilter(t, values, c, b[0], b[1])
 	}
+}
+
+func TestVectorFilterExceptions(t *testing.T) {
+	vectorFilterExceptions[float64](t, 1e300)
+	vectorFilterExceptions[float32](t, 1e30)
 }
 
 func TestVectorFilterAllExceptions(t *testing.T) {
@@ -172,12 +186,20 @@ func TestVectorFilterAllExceptions(t *testing.T) {
 	checkVectorFilter(t, allNaN, c, 0, 0)
 }
 
-func TestVectorFilterBoundsOutsideEncodableRange(t *testing.T) {
-	values := []float64{1.5, 2.5, 3.5, 4.5}
+// boundsOutsideEncodableRange filters with bounds far beyond the
+// encodable range (huge near T's largest finite value, big beyond
+// ±limit in the encoded domain): the translation must clamp, not
+// overflow.
+func boundsOutsideEncodableRange[T vector.Float](t *testing.T, big, huge T) {
+	t.Helper()
+	values := []T{1.5, 2.5, 3.5, 4.5}
 	c := Combo{E: 1, F: 0}
-	// Bounds beyond ±2^51 in the encoded domain: the translation must
-	// clamp, not overflow.
-	checkVectorFilter(t, values, c, -1e308, 1e308)
-	checkVectorFilter(t, values, c, 1e300, 1e308)
-	checkVectorFilter(t, values, c, -1e308, -1e300)
+	checkVectorFilter(t, values, c, -huge, huge)
+	checkVectorFilter(t, values, c, big, huge)
+	checkVectorFilter(t, values, c, -huge, -big)
+}
+
+func TestVectorFilterBoundsOutsideEncodableRange(t *testing.T) {
+	boundsOutsideEncodableRange[float64](t, 1e300, 1e308)
+	boundsOutsideEncodableRange[float32](t, 1e30, 3e38)
 }

@@ -118,7 +118,7 @@ func TestAggFoldBitWidths(t *testing.T) {
 		span := int64(1)<<w - 1
 		base := -span / 2
 		if w == 52 {
-			base = -decLimit
+			base = -int64(width64.limit)
 		}
 		values := make([]float64, 1024)
 		for i := range values {

@@ -10,7 +10,7 @@ import (
 // in sel — the exact exception count a RepackSelected vector would
 // carry, so the scan frame policy can cost the repacked encoding
 // without building it.
-func (v *Vector) SelectedExceptions(sel []uint64) int {
+func (v *VectorOf[T]) SelectedExceptions(sel []uint64) int {
 	n := 0
 	for _, pos := range v.ExcPos {
 		if sel[pos>>6]&(1<<uint(pos&63)) != 0 {
@@ -20,14 +20,14 @@ func (v *Vector) SelectedExceptions(sel []uint64) int {
 	return n
 }
 
-// RepackSelected builds a new Vector holding only the rows selected by
+// RepackSelected builds a new vector holding only the rows selected by
 // sel, in position order, re-encoded under the same (E, F) combination —
 // the sparse-selection payload of the scan wire format. Because the
 // combination is unchanged, every non-exception row of the repacked
 // vector decodes through the exact float path GatherSelected runs
-// (float64(d) * 10^F * 10^-E), so the repacked vector is bit-identical
-// to gathering the selected rows locally; exception rows carry their
-// stored float64 verbatim at their new (compacted) positions.
+// (T(d) * 10^F * 10^-E), so the repacked vector is bit-identical to
+// gathering the selected rows locally; exception rows carry their
+// stored value verbatim at their new (compacted) positions.
 //
 // It must be called right after Filter with the same scratch buffer:
 // selected non-exception integers are read from the raw packed values
@@ -36,12 +36,12 @@ func (v *Vector) SelectedExceptions(sel []uint64) int {
 // cover any selection). The FFOR re-pack recomputes base and width over
 // the selected integers only, so a narrow selection usually packs
 // narrower than the original vector.
-func (v *Vector) RepackSelected(sel []uint64, scratch []int64, ints []int64) Vector {
+func (v *VectorOf[T]) RepackSelected(sel []uint64, scratch []int64, ints []int64) VectorOf[T] {
 	base := v.Ints.Base
 	n := 0
 	k := 0
 	var excPos []uint16
-	var excVals []float64
+	var excVals []T
 	for w := 0; w < fastlanes.SelWords(v.N); w++ {
 		word := sel[w]
 		for word != 0 {
@@ -79,7 +79,7 @@ func (v *Vector) RepackSelected(sel []uint64, scratch []int64, ints []int64) Vec
 			ints[p] = fill
 		}
 	}
-	return Vector{
+	return VectorOf[T]{
 		E:       v.E,
 		F:       v.F,
 		N:       n,

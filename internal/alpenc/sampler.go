@@ -13,11 +13,10 @@ import (
 // combinations, 8 vectors sampled per row-group, 32 values sampled per
 // vector in both sampling levels.
 const (
-	MaxCombos             = 5  // k
-	SampleVectors         = 8  // vectors sampled per row-group
-	SampleValuesPerVec    = 32 // values sampled per vector, first level
-	SecondStageSamples    = 32 // s, values sampled per vector, second level
-	rdThresholdBitsPerVal = 48 // estimated bits/value beyond which ALP_rd takes over (§3.4)
+	MaxCombos          = 5  // k
+	SampleVectors      = 8  // vectors sampled per row-group
+	SampleValuesPerVec = 32 // values sampled per vector, first level
+	SecondStageSamples = 32 // s, values sampled per vector, second level
 )
 
 // Decision is the outcome of first-level (row-group) sampling: the k'
@@ -32,21 +31,24 @@ type Decision struct {
 
 // comboCost estimates the compressed size in bits of encoding sample
 // with combination c: every slot costs the bit width implied by the
-// successful integers' range, and every exception additionally costs 80
-// bits (§3.1). It returns the cost and the exception count.
-func comboCost(sample []float64, c Combo) (bits, exceptions int) {
-	fe, ff := F10[c.E], IF10[c.F]
-	df, de := F10[c.F], IF10[c.E]
+// successful integers' range, and every exception additionally costs
+// exceptionBits (80 bits for float64, §3.1). It returns the cost and
+// the exception count.
+func comboCost[T vector.Float](sample []T, c Combo) (bits, exceptions int) {
+	w := widthOf[T]()
+	fe, ff := w.f10[c.E], w.if10[c.F]
+	df, de := w.f10[c.F], w.if10[c.E]
+	sweet, lo, hi := w.sweet, -w.limit, w.limit
 	min, max := int64(math.MaxInt64), int64(math.MinInt64)
 	nonExc := 0
 	for _, x := range sample {
 		scaled := x * fe * ff
-		if !(scaled >= -encLimit && scaled <= encLimit) {
+		if !(scaled >= lo && scaled <= hi) {
 			exceptions++
 			continue
 		}
-		d := fastRound(scaled)
-		if math.Float64bits(float64(d)*df*de) != math.Float64bits(x) {
+		d := fastRound(scaled, sweet)
+		if vector.ToBits(T(d)*df*de) != vector.ToBits(x) {
 			exceptions++
 			continue
 		}
@@ -58,21 +60,21 @@ func comboCost(sample []float64, c Combo) (bits, exceptions int) {
 		}
 		nonExc++
 	}
-	var w uint
+	var bw uint
 	if nonExc > 0 {
-		w = bitpack.Width(uint64(max) - uint64(min))
+		bw = bitpack.Width(uint64(max) - uint64(min))
 	}
-	return len(sample)*int(w) + exceptions*ExceptionBits, exceptions
+	return len(sample)*int(bw) + exceptions*exceptionBits[T](), exceptions
 }
 
-// FindBest exhaustively searches all 253 (e,f) combinations for the one
-// minimizing comboCost on the sample. Ties prefer higher exponents and
-// factors, mirroring the paper's tie-break. It also returns the winning
-// cost in bits.
-func FindBest(sample []float64) (Combo, int) {
+// FindBest exhaustively searches all (e,f) combinations (253 for
+// float64, 66 for float32) for the one minimizing comboCost on the
+// sample. Ties prefer higher exponents and factors, mirroring the
+// paper's tie-break. It also returns the winning cost in bits.
+func FindBest[T vector.Float](sample []T) (Combo, int) {
 	best := Combo{}
 	bestCost := math.MaxInt
-	for e := MaxExponent; e >= 0; e-- {
+	for e := widthOf[T]().maxExponent(); e >= 0; e-- {
 		for f := e; f >= 0; f-- {
 			c := Combo{E: uint8(e), F: uint8(f)}
 			cost, _ := comboCost(sample, c)
@@ -87,11 +89,11 @@ func FindBest(sample []float64) (Combo, int) {
 
 // sampleEquidistant copies count equidistant elements of src into a new
 // slice. If src has fewer than count elements it is returned as-is.
-func sampleEquidistant(src []float64, count int) []float64 {
+func sampleEquidistant[T vector.Float](src []T, count int) []T {
 	if len(src) <= count {
 		return src
 	}
-	out := make([]float64, count)
+	out := make([]T, count)
 	step := len(src) / count
 	for i := range out {
 		out[i] = src[i*step]
@@ -103,9 +105,9 @@ func sampleEquidistant(src []float64, count int) []float64 {
 // (§3.2): it samples equidistant values from equidistant vectors, finds
 // each sampled vector's best combination exhaustively, and keeps the k
 // most frequent ones. It also estimates the achievable bits/value; when
-// that estimate exceeds the ALP_rd threshold the caller should encode
+// that estimate exceeds T's ALP_rd threshold the caller should encode
 // the whole row-group with ALP_rd instead (§3.4).
-func SampleRowGroup(values []float64) Decision {
+func SampleRowGroup[T vector.Float](values []T) Decision {
 	nv := vector.VectorsIn(len(values))
 	nSample := SampleVectors
 	if nv < nSample {
@@ -155,7 +157,7 @@ func SampleRowGroup(values []float64) Decision {
 	if totalVals > 0 {
 		d.EstBitsPerValue = float64(totalCost) / float64(totalVals)
 	}
-	d.UseRD = d.EstBitsPerValue >= rdThresholdBitsPerVal
+	d.UseRD = d.EstBitsPerValue >= widthOf[T]().rdThreshold
 	return d
 }
 
@@ -166,7 +168,7 @@ func SampleRowGroup(values []float64) Decision {
 // row-group yielded a single combination the sampling is skipped
 // entirely. It returns the chosen combination and how many candidates
 // were tried (for the sampling-overhead experiment, §4.2).
-func ChooseForVector(vec []float64, combos []Combo) (Combo, int) {
+func ChooseForVector[T vector.Float](vec []T, combos []Combo) (Combo, int) {
 	o := obs.Active()
 	if len(combos) == 1 {
 		o.SecondStageSkipped()

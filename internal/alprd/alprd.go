@@ -4,7 +4,7 @@
 // model weights).
 //
 // Each value's bit pattern is cut at position p into a left part (the
-// front 64-p bits: sign, exponent, and the highest mantissa bits, at
+// front bits above p: sign, exponent, and the highest mantissa bits, at
 // most 16 bits) and a right part (the low p bits). Right parts are
 // bit-packed verbatim at p bits. Left parts exhibit low variance and are
 // compressed with a skewed dictionary: a dictionary of at most 8
@@ -12,25 +12,30 @@
 // outside the dictionary stored as 16-bit exceptions plus 16-bit
 // positions. The cut position p and the dictionary are chosen once per
 // row-group by sampling.
+//
+// Sampling, encoding and decoding are written once over vector.Float:
+// float32 (§4.4) cuts its 32-bit patterns exactly as float64 cuts its
+// 64-bit ones. The Encoder and Vector hold no floats, so they serve
+// both widths.
 package alprd
 
 import (
 	"math"
 	"sort"
 	"sync"
-	"unsafe"
 
 	"github.com/goalp/alp/internal/bitpack"
 	"github.com/goalp/alp/internal/obs"
 	"github.com/goalp/alp/internal/vector"
 )
 
-// Cut-position search range for float64: the left part is at most 16
-// bits (p >= 48) and at least 1 bit (p <= 63).
-const (
-	minRight = 48
-	maxRight = 63
-)
+// cutRange returns the cut positions the sampler searches for T: the
+// left part is at most 16 bits (p >= width-16) and at least 1 bit
+// (p <= width-1), so 48–63 for float64 and 16–31 for float32.
+func cutRange[T vector.Float]() (minRight, maxRight int) {
+	w := int(vector.BitWidth[T]())
+	return w - 16, w - 1
+}
 
 // MaxDictBits is the largest dictionary code width b: dictionaries hold
 // at most 2^3 = 8 entries (§3.4).
@@ -75,11 +80,12 @@ type Vector struct {
 // exception overhead implied by the dictionary hit rate — and keeps the
 // best. The chosen encoder builds its encode index on its first
 // EncodeVector.
-func Sample(values []float64) *Encoder {
+func Sample[T vector.Float](values []T) *Encoder {
 	sample := rowGroupSample(values)
 	best := &Encoder{}
 	bestCost := math.MaxFloat64
 	cuts := 0
+	minRight, maxRight := cutRange[T]()
 	for p := minRight; p <= maxRight; p++ {
 		enc, exc := buildEncoder(sample, uint8(p))
 		cuts++
@@ -94,8 +100,8 @@ func Sample(values []float64) *Encoder {
 }
 
 // rowGroupSample mirrors the decimal scheme's first-level sampling:
-// equidistant values from equidistant vectors.
-func rowGroupSample(values []float64) []uint64 {
+// equidistant values from equidistant vectors, as bit patterns.
+func rowGroupSample[T vector.Float](values []T) []uint64 {
 	nv := vector.VectorsIn(len(values))
 	nSample := 8
 	if nv < nSample {
@@ -114,7 +120,7 @@ func rowGroupSample(values []float64) []uint64 {
 			stride = len(vec) / 32
 		}
 		for j := 0; j < len(vec); j += stride {
-			sample = append(sample, math.Float64bits(vec[j]))
+			sample = append(sample, vector.ToBits(vec[j]))
 		}
 	}
 	return sample
@@ -173,10 +179,11 @@ func buildEncoder(sample []uint64, p uint8) (*Encoder, int) {
 }
 
 // estimateBits estimates the per-value compressed size of a sample of n
-// values, exc of which miss the dictionary, under this encoder.
+// values, exc of which miss the dictionary, under this encoder. An
+// empty sample costs every cut the same.
 func (e *Encoder) estimateBits(exc, n int) float64 {
 	if n == 0 {
-		return 64
+		return 0
 	}
 	excFrac := float64(exc) / float64(n)
 	return float64(e.P) + float64(e.CodeWidth) + excFrac*32 // 16-bit value + 16-bit position
@@ -194,9 +201,9 @@ func (e *Encoder) encodeIndex() *[1 << 16]uint16 {
 	return e.index
 }
 
-// EncodeVector cuts every value of src at p and compresses both parts
+// EncodeVector cuts every value of src at e.P and compresses both parts
 // (Algorithm 3, encoding).
-func (e *Encoder) EncodeVector(src []float64) Vector {
+func EncodeVector[T vector.Float](e *Encoder, src []T) Vector {
 	index := e.encodeIndex()
 	n := len(src)
 	v := Vector{N: n}
@@ -209,7 +216,7 @@ func (e *Encoder) EncodeVector(src []float64) Vector {
 		codes = make([]uint64, n)
 	}
 	for i, x := range src {
-		bits := math.Float64bits(x)
+		bits := vector.ToBits(x)
 		left := uint16(bits >> e.P)
 		rights[i] = bits & (uint64(1)<<e.P - 1)
 		code := index[left]
@@ -228,48 +235,41 @@ func (e *Encoder) EncodeVector(src []float64) Vector {
 }
 
 // DecodeVector reverses EncodeVector (Algorithm 3, decoding) straight
-// into dst, allocating nothing: the right parts unpack into dst's bit
-// patterns, each 64-row block then ORs in its rows' left parts from the
-// pre-shifted dictionary, and the exceptions rewrite their rows' left
-// bits. A code past the dictionary keeps left part 0. dst must hold
-// v.N values.
-func (e *Encoder) DecodeVector(v *Vector, dst []float64) {
-	out := float64Bits(dst[:v.N])
-	p := uint(e.P)
-	bitpack.Unpack(out, v.RightWords, p, 0)
+// into dst in one pass, allocating nothing: each 64-row block unpacks
+// its right parts and codes into stack blocks and ORs in the
+// pre-shifted dictionary entries, then the exceptions rewrite their
+// rows' left bits. A code past the dictionary keeps left part 0, and
+// left bits above T's width are dropped. dst must hold v.N values.
+func DecodeVector[T vector.Float](e *Encoder, v *Vector, dst []T) {
+	out := dst[:v.N]
+	p, cw := uint(e.P), e.CodeWidth
 	var left [1 << MaxDictBits]uint64
 	for c, l := range e.Dict {
 		left[c] = uint64(l) << p
 	}
-	orLeftParts(out, v.CodeWords, e.CodeWidth, &left)
-	right := uint64(1)<<p - 1
-	for k, pos := range v.ExcPos {
-		out[pos] = out[pos]&right | uint64(v.ExcLeft[k])<<p
-	}
-}
-
-// orLeftParts ORs left[code] into every bit pattern of out, reading the
-// codes, packed cw bits apiece in words, one 64-row block at a time.
-func orLeftParts(out, words []uint64, cw uint, left *[1 << MaxDictBits]uint64) {
-	var codes [bitpack.BlockSize]uint64
-	for b := 0; b < len(out); b += bitpack.BlockSize {
-		rows := out[b:min(b+bitpack.BlockSize, len(out))]
-		bitpack.Unpack(codes[:len(rows)], words[b/bitpack.BlockSize*int(cw):], cw, 0)
-		for j, x := range rows {
-			// Codes are below 1<<MaxDictBits; the mask drops the
-			// bounds check.
-			rows[j] = x | left[codes[j]&(1<<MaxDictBits-1)]
+	// Codes are below 1<<MaxDictBits; the mask drops the bounds check.
+	const mask = 1<<MaxDictBits - 1
+	var rights, codes [bitpack.BlockSize]uint64
+	full := len(out) / bitpack.BlockSize
+	for b := 0; b < full; b++ {
+		bitpack.UnpackBlock(&rights, v.RightWords[b*int(p):], p, 0)
+		bitpack.UnpackBlock(&codes, v.CodeWords[b*int(cw):], cw, 0)
+		rows := (*[bitpack.BlockSize]T)(out[b*bitpack.BlockSize:])
+		for j := range rows {
+			rows[j] = vector.FromBits[T](rights[j] | left[codes[j]&mask])
 		}
 	}
-}
-
-// float64Bits reinterprets a float64 slice as its bit patterns without
-// copying; the types have identical size and alignment.
-func float64Bits(s []float64) []uint64 {
-	if len(s) == 0 {
-		return nil
+	if tail := out[full*bitpack.BlockSize:]; len(tail) > 0 {
+		bitpack.Unpack(rights[:len(tail)], v.RightWords[full*int(p):], p, 0)
+		bitpack.Unpack(codes[:len(tail)], v.CodeWords[full*int(cw):], cw, 0)
+		for j := range tail {
+			tail[j] = vector.FromBits[T](rights[j] | left[codes[j]&mask])
+		}
 	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&s[0])), len(s))
+	right := uint64(1)<<p - 1
+	for k, pos := range v.ExcPos {
+		out[pos] = vector.FromBits[T](vector.ToBits(out[pos])&right | uint64(v.ExcLeft[k])<<p)
+	}
 }
 
 // Exceptions returns the number of left-part exceptions in the vector.

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"github.com/goalp/alp/internal/bitpack"
+	"github.com/goalp/alp/internal/vector"
 )
 
 // poiLike generates full-precision doubles in a narrow range, mimicking
@@ -24,9 +25,9 @@ func poiLike(r *rand.Rand, n int) []float64 {
 func roundTrip(t *testing.T, src []float64) (*Encoder, *Vector) {
 	t.Helper()
 	e := Sample(src)
-	v := e.EncodeVector(src)
+	v := EncodeVector(e, src)
 	got := make([]float64, len(src))
-	e.DecodeVector(&v, got)
+	DecodeVector(e, &v, got)
 	for i := range src {
 		if math.Float64bits(got[i]) != math.Float64bits(src[i]) {
 			t.Fatalf("value %d: got %v (%#x), want %v (%#x)",
@@ -63,7 +64,8 @@ func TestCutPosition(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	src := poiLike(r, 4096)
 	e := Sample(src)
-	if e.P < minRight || e.P > maxRight {
+	minRight, maxRight := cutRange[float64]()
+	if int(e.P) < minRight || int(e.P) > maxRight {
 		t.Fatalf("cut position %d outside [%d, %d]", e.P, minRight, maxRight)
 	}
 	if len(e.Dict) == 0 || len(e.Dict) > 1<<MaxDictBits {
@@ -84,12 +86,12 @@ func TestLowExceptionRateOnClusteredData(t *testing.T) {
 		src[i] = 1.0 + r.Float64() // exponent fixed at 1023
 	}
 	e := Sample(src)
-	v := e.EncodeVector(src)
+	v := EncodeVector(e, src)
 	if frac := float64(v.Exceptions()) / float64(v.N); frac > maxExceptionFrac+0.05 {
 		t.Fatalf("exception rate %.2f exceeds budget", frac)
 	}
 	got := make([]float64, len(src))
-	e.DecodeVector(&v, got)
+	DecodeVector(e, &v, got)
 	for i := range src {
 		if got[i] != src[i] {
 			t.Fatalf("value %d mismatch", i)
@@ -97,26 +99,37 @@ func TestLowExceptionRateOnClusteredData(t *testing.T) {
 	}
 }
 
-func TestNewEncoderRebuildsIndex(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	src := poiLike(r, 1024)
+// newEncoderRebuildsIndex encodes through an encoder rebuilt from a
+// sampled one's parameters, as a reader builds it: the lazily built
+// index must encode what the sampled one does.
+func newEncoderRebuildsIndex[T vector.Float](t *testing.T, src []T) {
+	t.Helper()
 	e := Sample(src)
 	e2 := NewEncoder(e.P, e.CodeWidth, e.Dict)
-	v := e2.EncodeVector(src)
-	got := make([]float64, len(src))
-	e2.DecodeVector(&v, got)
+	v := EncodeVector(e2, src)
+	got := make([]T, len(src))
+	DecodeVector(e2, &v, got)
 	for i := range src {
-		if math.Float64bits(got[i]) != math.Float64bits(src[i]) {
-			t.Fatalf("value %d mismatch after encoder rebuild", i)
+		if vector.ToBits(got[i]) != vector.ToBits(src[i]) {
+			t.Fatalf("%T value %d mismatch after encoder rebuild", src[i], i)
 		}
 	}
 }
 
-// decodeVectorRef is the four-pass decode that DecodeVector replaced:
-// unpack the right parts and the codes, translate the codes through the
-// dictionary, patch the exceptions, glue left<<p | right. It is the
-// reference the one-pass decode must match bit for bit.
-func decodeVectorRef(e *Encoder, v *Vector, dst []float64) {
+func TestNewEncoderRebuildsIndex(t *testing.T) {
+	newEncoderRebuildsIndex(t, poiLike(rand.New(rand.NewSource(4)), 1024))
+}
+
+func TestNewEncoder32RebuildsIndex(t *testing.T) {
+	newEncoderRebuildsIndex(t, weights(rand.New(rand.NewSource(6)), 1024))
+}
+
+// decodeVectorRef is the four-pass decode that DecodeVector replaced at
+// both widths: unpack the right parts and the codes, translate the
+// codes through the dictionary, patch the exceptions, glue
+// left<<p | right, cut to T's width. It is the reference the one-pass
+// decode must match bit for bit.
+func decodeVectorRef[T vector.Float](e *Encoder, v *Vector, dst []T) {
 	n := v.N
 	rights := make([]uint64, n)
 	codes := make([]uint64, n)
@@ -132,7 +145,7 @@ func decodeVectorRef(e *Encoder, v *Vector, dst []float64) {
 		lefts[pos] = uint64(v.ExcLeft[k])
 	}
 	for i := range dst {
-		dst[i] = math.Float64frombits(lefts[i]<<e.P | rights[i])
+		dst[i] = vector.FromBits[T](lefts[i]<<e.P | rights[i])
 	}
 }
 
@@ -157,16 +170,18 @@ func randomRDVector(r *rand.Rand, n int, p uint8, cw uint, excPos []uint16) Vect
 	return v
 }
 
-// TestDecodeVectorMatchesReference checks the one-pass decode against
-// the four-pass reference on randomized vectors: every length class
-// around the 64-row block, every cut position the sampler can choose
-// plus 0 and 1, every code width with dictionaries shorter than 2^width,
-// and exceptions at the first, the last, adjacent and every row.
-func TestDecodeVectorMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
+// decodeVectorMatchesReference checks the one-pass decode against the
+// four-pass reference on randomized vectors: every length class around
+// the 64-row block, every cut position T's sampler can choose plus 0
+// and 1, every code width with dictionaries shorter than 2^width, and
+// exceptions at the first, the last, adjacent and every row.
+func decodeVectorMatchesReference[T vector.Float](t *testing.T, seed int64) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
 	cuts := []uint8{0, 1}
-	for p := uint8(minRight); p <= maxRight; p++ {
-		cuts = append(cuts, p)
+	minRight, maxRight := cutRange[T]()
+	for p := minRight; p <= maxRight; p++ {
+		cuts = append(cuts, uint8(p))
 	}
 	for _, n := range []int{1, 63, 64, 65, 1000, 1024} {
 		every := make([]uint16, n)
@@ -191,14 +206,14 @@ func TestDecodeVectorMatchesReference(t *testing.T) {
 					e := NewEncoder(p, cw, dict)
 					for name, exc := range patterns {
 						v := randomRDVector(r, n, p, cw, exc)
-						got := make([]float64, n)
-						want := make([]float64, n)
-						e.DecodeVector(&v, got)
+						got := make([]T, n)
+						want := make([]T, n)
+						DecodeVector(e, &v, got)
 						decodeVectorRef(e, &v, want)
 						for i := range want {
-							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-								t.Fatalf("n=%d p=%d cw=%d dict=%d exceptions=%s: row %d = %#x, want %#x",
-									n, p, cw, dictLen, name, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+							if vector.ToBits(got[i]) != vector.ToBits(want[i]) {
+								t.Fatalf("%T n=%d p=%d cw=%d dict=%d exceptions=%s: row %d = %#x, want %#x",
+									got[i], n, p, cw, dictLen, name, i, vector.ToBits(got[i]), vector.ToBits(want[i]))
 							}
 						}
 					}
@@ -208,27 +223,33 @@ func TestDecodeVectorMatchesReference(t *testing.T) {
 	}
 }
 
+func TestDecodeVectorMatchesReference(t *testing.T) {
+	decodeVectorMatchesReference[float64](t, 8)
+	decodeVectorMatchesReference[float32](t, 12)
+}
+
 // TestDecodeVectorAllocatesNothing pins the decode to the stack: no
 // per-row arrays, and no block of codes that escapes.
 func TestDecodeVectorAllocatesNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	src := poiLike(r, 1024)
 	e := Sample(src)
-	v := e.EncodeVector(src)
+	v := EncodeVector(e, src)
 	dst := make([]float64, len(src))
-	if allocs := testing.AllocsPerRun(20, func() { e.DecodeVector(&v, dst) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(20, func() { DecodeVector(e, &v, dst) }); allocs != 0 {
 		t.Fatalf("DecodeVector allocates %.1f times per call", allocs)
 	}
 }
 
 // sampleRef is Sample as it costed cuts before: a full encode index
 // per candidate, counting the sampled values that miss it.
-func sampleRef(values []float64) (p uint8, cw uint, dict []uint16) {
+func sampleRef[T vector.Float](values []T) (p uint8, cw uint, dict []uint16) {
 	sample := rowGroupSample(values)
 	bestCost := math.MaxFloat64
+	minRight, maxRight := cutRange[T]()
 	for cut := minRight; cut <= maxRight; cut++ {
 		enc, _ := buildEncoder(sample, uint8(cut))
-		cost := 64.0
+		cost := 0.0
 		if len(sample) > 0 {
 			index := enc.encodeIndex()
 			exc := 0
@@ -248,41 +269,57 @@ func sampleRef(values []float64) (p uint8, cw uint, dict []uint16) {
 	return p, cw, dict
 }
 
-// TestSampleCostsFromHitCounts checks that costing each cut from the
+// sampleCostsFromHitCounts checks that costing each cut from the
 // dictionary's hit count picks what counting index misses picked, so
 // encodings stay byte-identical.
-func TestSampleCostsFromHitCounts(t *testing.T) {
-	r := rand.New(rand.NewSource(10))
-	inputs := [][]float64{
-		poiLike(r, 4096),
-		{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.MaxFloat64, 5e-324},
-		nil,
-	}
-	for k := 0; k < 20; k++ {
-		raw := make([]float64, 1+r.Intn(3000))
-		for i := range raw {
-			raw[i] = math.Float64frombits(r.Uint64() >> uint(r.Intn(12)))
-		}
-		inputs = append(inputs, raw)
-	}
+func sampleCostsFromHitCounts[T vector.Float](t *testing.T, inputs [][]T) {
+	t.Helper()
 	for k, values := range inputs {
 		e := Sample(values)
 		p, cw, dict := sampleRef(values)
 		if e.P != p || e.CodeWidth != cw || !slices.Equal(e.Dict, dict) {
-			t.Fatalf("input %d: Sample chose p=%d cw=%d dict=%v, reference p=%d cw=%d dict=%v",
-				k, e.P, e.CodeWidth, e.Dict, p, cw, dict)
+			t.Fatalf("%T input %d: Sample chose p=%d cw=%d dict=%v, reference p=%d cw=%d dict=%v",
+				T(0), k, e.P, e.CodeWidth, e.Dict, p, cw, dict)
 		}
 	}
 }
 
-// TestEncodeIndexConcurrentFirstUse encodes through a fresh decoding
+// randomPatterns returns 20 inputs of up to 3000 random bit patterns of
+// T, with a random number of high bits cleared so the left parts range
+// from scattered to clustered.
+func randomPatterns[T vector.Float](r *rand.Rand) [][]T {
+	var inputs [][]T
+	for k := 0; k < 20; k++ {
+		raw := make([]T, 1+r.Intn(3000))
+		for i := range raw {
+			raw[i] = vector.FromBits[T](r.Uint64() >> (64 - vector.BitWidth[T]()) >> uint(r.Intn(12)))
+		}
+		inputs = append(inputs, raw)
+	}
+	return inputs
+}
+
+func TestSampleCostsFromHitCounts(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	sampleCostsFromHitCounts(t, append([][]float64{
+		poiLike(r, 4096),
+		{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.MaxFloat64, 5e-324},
+		nil,
+	}, randomPatterns[float64](r)...))
+	sampleCostsFromHitCounts(t, append([][]float32{
+		weights(r, 4096),
+		{0, float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), math.MaxFloat32, 1e-45},
+		nil,
+	}, randomPatterns[float32](r)...))
+}
+
+// encodeIndexConcurrentFirstUse encodes through a fresh decoding
 // encoder from several goroutines at once: the lazily built index must
 // be built once and give every caller the same vector.
-func TestEncodeIndexConcurrentFirstUse(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	src := poiLike(r, 1024)
+func encodeIndexConcurrentFirstUse[T vector.Float](t *testing.T, src []T) {
+	t.Helper()
 	s := Sample(src)
-	want := s.EncodeVector(src)
+	want := EncodeVector(s, src)
 	e := NewEncoder(s.P, s.CodeWidth, s.Dict)
 	var wg sync.WaitGroup
 	got := make([]Vector, 4)
@@ -290,16 +327,21 @@ func TestEncodeIndexConcurrentFirstUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[g] = e.EncodeVector(src)
+			got[g] = EncodeVector(e, src)
 		}()
 	}
 	wg.Wait()
 	for g, v := range got {
 		if !slices.Equal(v.RightWords, want.RightWords) || !slices.Equal(v.CodeWords, want.CodeWords) ||
 			!slices.Equal(v.ExcPos, want.ExcPos) || !slices.Equal(v.ExcLeft, want.ExcLeft) {
-			t.Fatalf("goroutine %d encoded a different vector", g)
+			t.Fatalf("%T goroutine %d encoded a different vector", src[0], g)
 		}
 	}
+}
+
+func TestEncodeIndexConcurrentFirstUse(t *testing.T) {
+	encodeIndexConcurrentFirstUse(t, poiLike(rand.New(rand.NewSource(11)), 1024))
+	encodeIndexConcurrentFirstUse(t, weights(rand.New(rand.NewSource(13)), 1024))
 }
 
 func TestQuickLossless(t *testing.T) {
@@ -309,9 +351,9 @@ func TestQuickLossless(t *testing.T) {
 			src[i] = math.Float64frombits(b)
 		}
 		e := Sample(src)
-		v := e.EncodeVector(src)
+		v := EncodeVector(e, src)
 		got := make([]float64, len(src))
-		e.DecodeVector(&v, got)
+		DecodeVector(e, &v, got)
 		for i := range src {
 			if math.Float64bits(got[i]) != math.Float64bits(src[i]) {
 				return false
@@ -337,12 +379,12 @@ func weights(r *rand.Rand, n int) []float32 {
 func TestRoundTrip32Weights(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	src := weights(r, 4096)
-	e := Sample32(src)
+	e := Sample(src)
 	var total int
 	for off := 0; off < len(src); off += 1024 {
-		v := e.EncodeVector(src[off : off+1024])
+		v := EncodeVector(e, src[off:off+1024])
 		got := make([]float32, 1024)
-		e.DecodeVector(&v, got)
+		DecodeVector(e, &v, got)
 		for i := range got {
 			if math.Float32bits(got[i]) != math.Float32bits(src[off+i]) {
 				t.Fatalf("value %d: got %v, want %v", off+i, got[i], src[off+i])
@@ -366,10 +408,10 @@ func TestQuickLossless32(t *testing.T) {
 		for i, b := range raw {
 			src[i] = math.Float32frombits(b)
 		}
-		e := Sample32(src)
-		v := e.EncodeVector(src)
+		e := Sample(src)
+		v := EncodeVector(e, src)
 		got := make([]float32, len(src))
-		e.DecodeVector(&v, got)
+		DecodeVector(e, &v, got)
 		for i := range src {
 			if math.Float32bits(got[i]) != math.Float32bits(src[i]) {
 				return false
@@ -382,21 +424,6 @@ func TestQuickLossless32(t *testing.T) {
 	}
 }
 
-func TestNewEncoder32RebuildsIndex(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	src := weights(r, 1024)
-	e := Sample32(src)
-	e2 := NewEncoder32(e.P, e.CodeWidth, e.Dict)
-	v := e2.EncodeVector(src)
-	got := make([]float32, len(src))
-	e2.DecodeVector(&v, got)
-	for i := range src {
-		if math.Float32bits(got[i]) != math.Float32bits(src[i]) {
-			t.Fatalf("value %d mismatch after encoder rebuild", i)
-		}
-	}
-}
-
 func BenchmarkEncodeVectorRD(b *testing.B) {
 	r := rand.New(rand.NewSource(7))
 	src := poiLike(r, 1024)
@@ -404,19 +431,22 @@ func BenchmarkEncodeVectorRD(b *testing.B) {
 	b.SetBytes(1024 * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.EncodeVector(src)
+		EncodeVector(e, src)
 	}
 }
 
 func BenchmarkDecodeVectorRD(b *testing.B) {
-	r := rand.New(rand.NewSource(7))
-	src := poiLike(r, 1024)
+	b.Run("float64", func(b *testing.B) { benchDecodeVectorRD(b, poiLike(rand.New(rand.NewSource(7)), 1024)) })
+	b.Run("float32", func(b *testing.B) { benchDecodeVectorRD(b, weights(rand.New(rand.NewSource(7)), 1024)) })
+}
+
+func benchDecodeVectorRD[T vector.Float](b *testing.B, src []T) {
 	e := Sample(src)
-	v := e.EncodeVector(src)
-	dst := make([]float64, 1024)
-	b.SetBytes(1024 * 8)
+	v := EncodeVector(e, src)
+	dst := make([]T, len(src))
+	b.SetBytes(int64(len(src)) * int64(vector.BitWidth[T]()/8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.DecodeVector(&v, dst)
+		DecodeVector(e, &v, dst)
 	}
 }

@@ -72,10 +72,10 @@ func MeasureALPRD(values []float64, ghz float64, minDur time.Duration) Speed {
 	}
 	vec := values[:n]
 	enc := alprd.Sample(values)
-	compSec := measureSeconds(func() { enc.EncodeVector(vec) }, minDur)
-	v := enc.EncodeVector(vec)
+	compSec := measureSeconds(func() { alprd.EncodeVector(enc, vec) }, minDur)
+	v := alprd.EncodeVector(enc, vec)
 	dst := make([]float64, n)
-	decompSec := measureSeconds(func() { enc.DecodeVector(&v, dst) }, minDur)
+	decompSec := measureSeconds(func() { alprd.DecodeVector(enc, &v, dst) }, minDur)
 	return Speed{
 		Comp:   TuplesPerCycle(compSec, n, ghz),
 		Decomp: TuplesPerCycle(decompSec, n, ghz),

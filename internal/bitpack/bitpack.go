@@ -82,6 +82,13 @@ func Unpack(dst, src []uint64, w uint, base uint64) {
 	}
 }
 
+// UnpackBlock is Unpack for one full block: it calls the width-w kernel
+// without Unpack's per-call setup, for callers that work a block at a
+// time.
+func UnpackBlock(dst *[BlockSize]uint64, src []uint64, w uint, base uint64) {
+	unpackBlock(dst, src, w, base)
+}
+
 // PackGeneric is the width-parametric scalar packing loop. It packs
 // len(src) values of w bits starting at the beginning of dst. w must be
 // in [1, 64].

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"github.com/goalp/alp/internal/alpenc"
+	"github.com/goalp/alp/internal/alprd"
 	"github.com/goalp/alp/internal/fastlanes"
 	"github.com/goalp/alp/internal/obs"
 	"github.com/goalp/alp/internal/vector"
@@ -91,7 +92,7 @@ func (c *Column) FilterVector(i int, lo, hi float64, sel []uint64, buf []float64
 		return v.Filter(lo, hi, sel, scratch), true
 	}
 	v := &rg.RDVectors[local]
-	rg.RD.DecodeVector(v, buf[:v.N])
+	alprd.DecodeVector(rg.RD, v, buf[:v.N])
 	return filterFloats(buf[:v.N], lo, hi, sel), false
 }
 
@@ -133,7 +134,7 @@ func (c *Column) FilterGatherVector(i int, lo, hi float64, sel []uint64, out []f
 	// ALP_rd: decode into out, then compact qualifying rows forward in
 	// place.
 	v := &rg.RDVectors[local]
-	rg.RD.DecodeVector(v, out[:v.N])
+	alprd.DecodeVector(rg.RD, v, out[:v.N])
 	count = filterFloats(out[:v.N], lo, hi, sel)
 	gatherSelected(out, out[:v.N], sel)
 	return count, false
@@ -221,7 +222,7 @@ func (c *Column) AggVectors(first, end int, lo, hi float64, buf []float64, scrat
 		rg := &c.RowGroups[i/vector.RowGroupVectors]
 		if rg.Scheme == SchemeRD {
 			v := &rg.RDVectors[i%vector.RowGroupVectors]
-			rg.RD.DecodeVector(v, buf[:v.N])
+			alprd.DecodeVector(rg.RD, v, buf[:v.N])
 			batch.Vector(a.FoldMatching(buf[:v.N], lo, hi), false)
 			continue
 		}

@@ -34,10 +34,11 @@ func (s Scheme) String() string {
 	return "ALP"
 }
 
-// Column is an ALP-compressed column of float64 values.
+// Column is an ALP-compressed column of float64 values. Beside the
+// row-groups it carries the zone map that predicate pushdown, ALPS
+// scans and the vector wire build on.
 type Column struct {
-	N         int
-	RowGroups []RowGroup
+	columnOf[float64]
 
 	// Zones holds per-vector min/max statistics for predicate
 	// push-down. Always populated by EncodeColumn; optional in
@@ -46,15 +47,29 @@ type Column struct {
 	Zones *ZoneMap
 }
 
-// RowGroup is one compressed row-group.
-type RowGroup struct {
+// Column32 is an ALP-compressed column of float32 values (§4.4): the
+// same row-groups, with no zone map.
+type Column32 struct {
+	columnOf[float32]
+}
+
+// columnOf is the row-group layer every column shares, written once
+// over both float widths: encode, vector decode, parallel decode, size
+// accounting and the row-group stream format.
+type columnOf[T vector.Float] struct {
+	N         int
+	RowGroups []RowGroupOf[T]
+}
+
+// RowGroupOf is one compressed row-group of T values.
+type RowGroupOf[T vector.Float] struct {
 	Scheme Scheme
 	Start  int // index of the first value
 	N      int
 
 	// SchemeALP state.
 	Combos  []alpenc.Combo
-	Vectors []alpenc.Vector
+	Vectors []alpenc.VectorOf[T]
 
 	// SchemeRD state.
 	RD        *alprd.Encoder
@@ -65,6 +80,9 @@ type RowGroup struct {
 	// used by the sampling-overhead experiment (§4.2).
 	SecondStageTried []int
 }
+
+// RowGroup is one compressed row-group of float64 values.
+type RowGroup = RowGroupOf[float64]
 
 // EncodeColumn compresses values: per row-group it runs first-level
 // sampling, picks ALP or ALP_rd, and encodes every vector. It is the
@@ -82,22 +100,30 @@ func EncodeColumn(values []float64) *Column {
 // clamped to the row-group count, and a single row-group encodes
 // inline with no goroutines.
 func EncodeColumnParallel(values []float64, workers int) *Column {
+	return &Column{columnOf: encodeColumn(values, workers), Zones: BuildZoneMap(values)}
+}
+
+// EncodeColumn32 compresses float32 values serially, as EncodeColumn
+// does float64 values.
+func EncodeColumn32(values []float32) *Column32 {
+	return EncodeColumn32Parallel(values, 1)
+}
+
+// EncodeColumn32Parallel is EncodeColumnParallel for float32 values.
+func EncodeColumn32Parallel(values []float32, workers int) *Column32 {
+	return &Column32{encodeColumn(values, workers)}
+}
+
+func encodeColumn[T vector.Float](values []T, workers int) columnOf[T] {
 	ng := vector.RowGroupsIn(len(values))
-	c := &Column{
-		N:         len(values),
-		Zones:     BuildZoneMap(values),
-		RowGroups: make([]RowGroup, ng),
-	}
+	c := columnOf[T]{N: len(values), RowGroups: make([]RowGroupOf[T], ng)}
 	scratches := make([][]int64, pipeline.Workers(workers))
 	pipeline.Run(ng, workers, func(worker, g int) {
 		if scratches[worker] == nil {
 			scratches[worker] = make([]int64, vector.Size)
 		}
 		lo := g * vector.RowGroupSize
-		hi := lo + vector.RowGroupSize
-		if hi > len(values) {
-			hi = len(values)
-		}
+		hi := min(lo+vector.RowGroupSize, len(values))
 		c.RowGroups[g] = encodeRowGroup(values[lo:hi], lo, scratches[worker])
 	})
 	return c
@@ -106,46 +132,41 @@ func EncodeColumnParallel(values []float64, workers int) *Column {
 // EncodeRowGroup compresses one row-group of values starting at global
 // index start. It is the building block of streaming writers: each
 // row-group is sampled and encoded independently.
-func EncodeRowGroup(values []float64, start int) RowGroup {
+func EncodeRowGroup[T vector.Float](values []T, start int) RowGroupOf[T] {
 	return encodeRowGroup(values, start, make([]int64, vector.Size))
 }
 
-func encodeRowGroup(values []float64, start int, scratch []int64) RowGroup {
+func encodeRowGroup[T vector.Float](values []T, start int, scratch []int64) RowGroupOf[T] {
 	o := obs.Active()
 	var began time.Time
 	if o != nil {
 		began = time.Now()
 	}
-	rg := RowGroup{Start: start, N: len(values)}
+	rg := RowGroupOf[T]{Start: start, N: len(values)}
 	dec := alpenc.SampleRowGroup(values)
-	if dec.UseRD || len(dec.Combos) == 0 {
+	rd := dec.UseRD || len(dec.Combos) == 0
+	if rd {
 		rg.Scheme = SchemeRD
 		rg.RD = alprd.Sample(values)
-		for v := 0; v < vector.VectorsIn(len(values)); v++ {
-			lo, hi := vector.Bounds(v, len(values))
-			ev := rg.RD.EncodeVector(values[lo:hi])
-			o.VectorEncoded(ev.N, ev.Exceptions(), obs.WidthNone)
-			rg.RDVectors = append(rg.RDVectors, ev)
-		}
-		o.RowGroup(true)
-		if o != nil {
-			ns := time.Since(began).Nanoseconds()
-			o.EncodeTime(ns, len(values))
-			o.Observe(obs.HistStageEncode, ns)
-		}
-		return rg
+	} else {
+		rg.Scheme = SchemeALP
+		rg.Combos = dec.Combos
 	}
-	rg.Scheme = SchemeALP
-	rg.Combos = dec.Combos
 	for v := 0; v < vector.VectorsIn(len(values)); v++ {
 		lo, hi := vector.Bounds(v, len(values))
+		if rd {
+			ev := alprd.EncodeVector(rg.RD, values[lo:hi])
+			o.VectorEncoded(ev.N, ev.Exceptions(), obs.WidthNone)
+			rg.RDVectors = append(rg.RDVectors, ev)
+			continue
+		}
 		combo, tried := alpenc.ChooseForVector(values[lo:hi], dec.Combos)
 		ev := alpenc.EncodeVector(values[lo:hi], combo, scratch)
 		o.VectorEncoded(ev.N, ev.Exceptions(), ev.Ints.Width)
 		rg.Vectors = append(rg.Vectors, ev)
 		rg.SecondStageTried = append(rg.SecondStageTried, tried)
 	}
-	o.RowGroup(false)
+	o.RowGroup(rd)
 	if o != nil {
 		ns := time.Since(began).Nanoseconds()
 		o.EncodeTime(ns, len(values))
@@ -155,10 +176,10 @@ func encodeRowGroup(values []float64, start int, scratch []int64) RowGroup {
 }
 
 // NumVectors returns the number of vectors in the column.
-func (c *Column) NumVectors() int { return vector.VectorsIn(c.N) }
+func (c *columnOf[T]) NumVectors() int { return vector.VectorsIn(c.N) }
 
 // VectorLen returns the number of values in vector i.
-func (c *Column) VectorLen(i int) int {
+func (c *columnOf[T]) VectorLen(i int) int {
 	lo, hi := vector.Bounds(i, c.N)
 	return hi - lo
 }
@@ -166,7 +187,7 @@ func (c *Column) VectorLen(i int) int {
 // DecodeVector decompresses vector i (a global vector index) into dst
 // and returns the number of values written. Only the addressed vector
 // is touched: this is the vector-skipping access path.
-func (c *Column) DecodeVector(i int, dst []float64, scratch []int64) int {
+func (c *columnOf[T]) DecodeVector(i int, dst []T, scratch []int64) int {
 	o := obs.Active()
 	var began time.Time
 	if o != nil {
@@ -178,7 +199,7 @@ func (c *Column) DecodeVector(i int, dst []float64, scratch []int64) int {
 	var n int
 	if rg.Scheme == SchemeRD {
 		v := &rg.RDVectors[local]
-		rg.RD.DecodeVector(v, dst[:v.N])
+		alprd.DecodeVector(rg.RD, v, dst[:v.N])
 		n = v.N
 	} else {
 		v := &rg.Vectors[local]
@@ -193,7 +214,7 @@ func (c *Column) DecodeVector(i int, dst []float64, scratch []int64) int {
 
 // Decode decompresses the whole column into a new slice (serially;
 // DecodeParallel is the multi-core variant).
-func (c *Column) Decode() []float64 {
+func (c *columnOf[T]) Decode() []T {
 	return c.DecodeParallel(1)
 }
 
@@ -202,8 +223,8 @@ func (c *Column) Decode() []float64 {
 // into its slot of the preallocated result slice, so the output is
 // bit-identical to the serial decode at any worker count. workers <= 0
 // means one worker per CPU; a single row-group decodes inline.
-func (c *Column) DecodeParallel(workers int) []float64 {
-	out := make([]float64, c.N)
+func (c *columnOf[T]) DecodeParallel(workers int) []T {
+	out := make([]T, c.N)
 	scratches := make([][]int64, pipeline.Workers(workers))
 	pipeline.Run(len(c.RowGroups), workers, func(worker, g int) {
 		if scratches[worker] == nil {
@@ -221,7 +242,7 @@ func (c *Column) DecodeParallel(workers int) []float64 {
 // SizeBits returns the exact compressed payload size in bits, including
 // all per-vector and per-row-group metadata (the bits/value accounting
 // of Table 4).
-func (c *Column) SizeBits() int {
+func (c *columnOf[T]) SizeBits() int {
 	bits := 64 + 32 // count + row-group count
 	for i := range c.RowGroups {
 		bits += c.RowGroups[i].SizeBits()
@@ -231,7 +252,7 @@ func (c *Column) SizeBits() int {
 
 // SizeBits returns the compressed size of one row-group in bits,
 // including its scheme byte and sampled parameters.
-func (rg *RowGroup) SizeBits() int {
+func (rg *RowGroupOf[T]) SizeBits() int {
 	bits := 8 // scheme byte
 	if rg.Scheme == SchemeRD {
 		bits += rg.RD.HeaderBits()
@@ -247,8 +268,9 @@ func (rg *RowGroup) SizeBits() int {
 	return bits
 }
 
-// BitsPerValue returns the compression ratio in bits per value.
-func (c *Column) BitsPerValue() float64 {
+// BitsPerValue returns the compression ratio in bits per value
+// (uncompressed values are 64 or 32 bits each).
+func (c *columnOf[T]) BitsPerValue() float64 {
 	if c.N == 0 {
 		return 0
 	}
@@ -256,7 +278,7 @@ func (c *Column) BitsPerValue() float64 {
 }
 
 // Exceptions returns the total exception count across all vectors.
-func (c *Column) Exceptions() int {
+func (c *columnOf[T]) Exceptions() int {
 	total := 0
 	for i := range c.RowGroups {
 		rg := &c.RowGroups[i]
@@ -271,7 +293,7 @@ func (c *Column) Exceptions() int {
 }
 
 // UsedRD reports whether any row-group fell back to ALP_rd.
-func (c *Column) UsedRD() bool {
+func (c *columnOf[T]) UsedRD() bool {
 	for i := range c.RowGroups {
 		if c.RowGroups[i].Scheme == SchemeRD {
 			return true

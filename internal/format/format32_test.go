@@ -1,8 +1,10 @@
 package format
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +99,54 @@ func TestUnmarshal32RejectsCorruption(t *testing.T) {
 	data64 := EncodeColumn([]float64{1.5}).Marshal()
 	if _, err := Unmarshal32(data64); err == nil {
 		t.Fatal("want error on 64-bit magic")
+	}
+
+	// Exception positions out of order, which the encoder never writes:
+	// the float32 reader must reject them as the float64 one does.
+	src := decimals32(r, 3000)
+	src[1], src[3] = float32(math.NaN()), float32(math.Inf(1))
+	alp := EncodeColumn32(src)
+	v := &alp.RowGroups[0].Vectors[0]
+	if len(v.ExcPos) < 2 || v.ExcPos[0] != 1 || v.ExcPos[1] != 3 {
+		t.Fatalf("ALP vector exceptions at %v, want 1 and 3 first", v.ExcPos)
+	}
+	v.ExcPos[0], v.ExcPos[1] = 3, 1
+	v.ExcVals[0], v.ExcVals[1] = v.ExcVals[1], v.ExcVals[0]
+	if _, err := Unmarshal32(alp.Marshal()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ALP exception positions [3 1]: err = %v, want ErrCorrupt", err)
+	}
+	rd := EncodeColumn32(dataset.Weights32(r, 3000))
+	if !rd.UsedRD() {
+		t.Fatal("weights did not sample to ALP_rd")
+	}
+	w := &rd.RowGroups[0].RDVectors[0]
+	w.ExcPos, w.ExcLeft = []uint16{5, 5}, []uint16{0, 0}
+	if _, err := Unmarshal32(rd.Marshal()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ALP_rd exception positions [5 5]: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestUnmarshal32RDAllocations parses one full row-group of ALP_rd
+// weights: the reader allocates the parsed payload and little else, no
+// encode index per row-group.
+func TestUnmarshal32RDAllocations(t *testing.T) {
+	col := EncodeColumn32(dataset.Weights32(rand.New(rand.NewSource(5)), vector.RowGroupSize))
+	if !col.UsedRD() {
+		t.Fatal("weights did not sample to ALP_rd")
+	}
+	data := col.Marshal()
+	const calls = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < calls; k++ {
+		if _, err := Unmarshal32(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; float64(perCall) >= 1.2*float64(len(data)) {
+		t.Fatalf("Unmarshal32 of a %d-byte ALP_rd stream allocates %d bytes (%.2fx)",
+			len(data), perCall, float64(perCall)/float64(len(data)))
 	}
 }
 

@@ -23,15 +23,14 @@ func corrupt(whatf string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(whatf, args...))
 }
 
-// Marshal serializes the column to a self-describing byte stream.
+// Magic32 identifies a float32 ALP column stream ("ALPf"
+// little-endian).
+const Magic32 = uint32(0x664C5041)
+
+// Marshal serializes the column to a self-describing byte stream: the
+// row-groups, then the optional zone-map trailer.
 func (c *Column) Marshal() []byte {
-	out := make([]byte, 0, c.SizeBits()/8+64)
-	out = binary.LittleEndian.AppendUint32(out, Magic)
-	out = binary.LittleEndian.AppendUint64(out, uint64(c.N))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(c.RowGroups)))
-	for i := range c.RowGroups {
-		out = marshalRowGroup(out, &c.RowGroups[i])
-	}
+	out := c.marshal(Magic)
 	// Optional zone-map trailer (scan statistics, not codec payload).
 	if c.Zones == nil {
 		return append(out, 0)
@@ -49,15 +48,27 @@ func (c *Column) Marshal() []byte {
 	return out
 }
 
-func marshalRowGroup(out []byte, rg *RowGroup) []byte {
+// Marshal serializes the float32 column; its stream has no trailer.
+func (c *Column32) Marshal() []byte { return c.marshal(Magic32) }
+
+// marshal writes the stream header under magic and every row-group.
+func (c *columnOf[T]) marshal(magic uint32) []byte {
+	out := make([]byte, 0, c.SizeBits()/8+64)
+	out = binary.LittleEndian.AppendUint32(out, magic)
+	out = binary.LittleEndian.AppendUint64(out, uint64(c.N))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(c.RowGroups)))
+	for i := range c.RowGroups {
+		out = marshalRowGroup(out, &c.RowGroups[i])
+	}
+	return out
+}
+
+func marshalRowGroup[T vector.Float](out []byte, rg *RowGroupOf[T]) []byte {
 	out = append(out, byte(rg.Scheme))
 	out = binary.LittleEndian.AppendUint32(out, uint32(rg.Start))
 	out = binary.LittleEndian.AppendUint32(out, uint32(rg.N))
 	if rg.Scheme == SchemeRD {
-		out = append(out, rg.RD.P, byte(rg.RD.CodeWidth), byte(len(rg.RD.Dict)))
-		for _, d := range rg.RD.Dict {
-			out = binary.LittleEndian.AppendUint16(out, d)
-		}
+		out = marshalRDEncoder(out, rg.RD)
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(rg.RDVectors)))
 		for j := range rg.RDVectors {
 			out = marshalRDVector(out, &rg.RDVectors[j])
@@ -75,7 +86,9 @@ func marshalRowGroup(out []byte, rg *RowGroup) []byte {
 	return out
 }
 
-func marshalALPVector(out []byte, v *alpenc.Vector) []byte {
+// marshalALPVector writes one decimal-scheme vector; each exception
+// value takes T's width on the wire (8 or 4 bytes).
+func marshalALPVector[T vector.Float](out []byte, v *alpenc.VectorOf[T]) []byte {
 	out = append(out, v.E, v.F)
 	out = binary.LittleEndian.AppendUint16(out, uint16(v.N))
 	out = binary.LittleEndian.AppendUint64(out, uint64(v.Ints.Base))
@@ -88,7 +101,21 @@ func marshalALPVector(out []byte, v *alpenc.Vector) []byte {
 		out = binary.LittleEndian.AppendUint16(out, p)
 	}
 	for _, x := range v.ExcVals {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
+		if vector.BitWidth[T]() == 32 {
+			out = binary.LittleEndian.AppendUint32(out, uint32(vector.ToBits(x)))
+		} else {
+			out = binary.LittleEndian.AppendUint64(out, vector.ToBits(x))
+		}
+	}
+	return out
+}
+
+// marshalRDEncoder writes an ALP_rd row-group's cut position, code
+// width and dictionary.
+func marshalRDEncoder(out []byte, e *alprd.Encoder) []byte {
+	out = append(out, e.P, byte(e.CodeWidth), byte(len(e.Dict)))
+	for _, d := range e.Dict {
+		out = binary.LittleEndian.AppendUint16(out, d)
 	}
 	return out
 }
@@ -180,41 +207,13 @@ func (r *reader) words(n int) []uint64 {
 	return out
 }
 
-// Unmarshal parses a column stream produced by Marshal, validating all
-// structural invariants.
+// Unmarshal parses a column stream produced by Column.Marshal,
+// validating all structural invariants.
 func Unmarshal(data []byte) (*Column, error) {
 	r := &reader{data: data}
-	if r.u32() != Magic {
-		if r.err != nil {
-			return nil, r.err
-		}
-		return nil, corrupt("bad magic")
-	}
-	n := int(r.u64())
-	ng := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n < 0 || ng != vector.RowGroupsIn(n) {
-		return nil, corrupt("row-group count %d inconsistent with %d values", ng, n)
-	}
-	c := &Column{N: n}
-	for g := 0; g < ng; g++ {
-		rg, err := unmarshalRowGroup(r)
-		if err != nil {
-			return nil, err
-		}
-		// Cross-validate against the global layout: a row-group that
-		// claims the wrong extent would desynchronize vector addressing.
-		wantStart := g * vector.RowGroupSize
-		wantN := n - wantStart
-		if wantN > vector.RowGroupSize {
-			wantN = vector.RowGroupSize
-		}
-		if rg.Start != wantStart || rg.N != wantN {
-			return nil, corrupt("row-group %d extent (%d, %d), want (%d, %d)", g, rg.Start, rg.N, wantStart, wantN)
-		}
-		c.RowGroups = append(c.RowGroups, rg)
+	c := &Column{}
+	if err := c.unmarshal(r, Magic); err != nil {
+		return nil, err
 	}
 	flag := r.u8()
 	if r.err != nil {
@@ -225,7 +224,7 @@ func Unmarshal(data []byte) (*Column, error) {
 	switch flag {
 	case 0: // no zone map
 	case 1:
-		nv := vector.VectorsIn(n)
+		nv := vector.VectorsIn(c.N)
 		zm := &ZoneMap{
 			Min:       make([]float64, nv),
 			Max:       make([]float64, nv),
@@ -241,16 +240,58 @@ func Unmarshal(data []byte) (*Column, error) {
 		}
 		c.Zones = zm
 	default:
-		if r.err != nil {
-			return nil, r.err
-		}
 		return nil, corrupt("unknown trailer flag")
 	}
 	return c, nil
 }
 
-func unmarshalRowGroup(r *reader) (RowGroup, error) {
-	var rg RowGroup
+// Unmarshal32 parses a float32 column stream produced by
+// Column32.Marshal, with the same validation as Unmarshal.
+func Unmarshal32(data []byte) (*Column32, error) {
+	c := &Column32{}
+	if err := c.unmarshal(&reader{data: data}, Magic32); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// unmarshal reads the stream header, which must start with magic, and
+// every row-group into c.
+func (c *columnOf[T]) unmarshal(r *reader, magic uint32) error {
+	if got := r.u32(); got != magic {
+		if r.err != nil {
+			return r.err
+		}
+		return corrupt("bad magic %#08x, want %#08x", got, magic)
+	}
+	n := int(r.u64())
+	ng := int(r.u32())
+	if r.err != nil {
+		return r.err
+	}
+	if n < 0 || ng != vector.RowGroupsIn(n) {
+		return corrupt("row-group count %d inconsistent with %d values", ng, n)
+	}
+	c.N = n
+	for g := 0; g < ng; g++ {
+		rg, err := unmarshalRowGroup[T](r)
+		if err != nil {
+			return err
+		}
+		// Cross-validate against the global layout: a row-group that
+		// claims the wrong extent would desynchronize vector addressing.
+		wantStart := g * vector.RowGroupSize
+		wantN := min(n-wantStart, vector.RowGroupSize)
+		if rg.Start != wantStart || rg.N != wantN {
+			return corrupt("row-group %d extent (%d, %d), want (%d, %d)", g, rg.Start, rg.N, wantStart, wantN)
+		}
+		c.RowGroups = append(c.RowGroups, rg)
+	}
+	return nil
+}
+
+func unmarshalRowGroup[T vector.Float](r *reader) (RowGroupOf[T], error) {
+	var rg RowGroupOf[T]
 	rg.Scheme = Scheme(r.u8())
 	rg.Start = int(r.u32())
 	rg.N = int(r.u32())
@@ -264,26 +305,17 @@ func unmarshalRowGroup(r *reader) (RowGroup, error) {
 		return rg, corrupt("row-group size %d", rg.N)
 	}
 	if rg.Scheme == SchemeRD {
-		p := r.u8()
-		cw := uint(r.u8())
-		dictLen := int(r.u8())
-		if r.err == nil && p > 63 {
-			return rg, corrupt("RD cut position %d", p)
+		enc, err := unmarshalRDEncoder[T](r)
+		if err != nil {
+			return rg, err
 		}
-		if r.err == nil && (cw > alprd.MaxDictBits || dictLen > 1<<cw) {
-			return rg, corrupt("RD dictionary: width %d size %d", cw, dictLen)
-		}
-		dict := make([]uint16, dictLen)
-		for i := range dict {
-			dict[i] = r.u16()
-		}
-		rg.RD = alprd.NewEncoder(p, cw, dict)
+		rg.RD = enc
 		nv := int(r.u16())
 		if r.err == nil && nv != vector.VectorsIn(rg.N) {
 			return rg, corrupt("RD vector count %d for %d values", nv, rg.N)
 		}
 		for j := 0; j < nv; j++ {
-			v, err := unmarshalRDVector(r, p, cw)
+			v, err := unmarshalRDVector(r, enc.P, enc.CodeWidth)
 			if err != nil {
 				return rg, err
 			}
@@ -298,7 +330,7 @@ func unmarshalRowGroup(r *reader) (RowGroup, error) {
 	nc := int(r.u8())
 	for i := 0; i < nc; i++ {
 		e, f := r.u8(), r.u8()
-		if r.err == nil && (e > alpenc.MaxExponent || f > e) {
+		if r.err == nil && !alpenc.ValidCombo[T](e, f) {
 			return rg, corrupt("combo (%d, %d)", e, f)
 		}
 		rg.Combos = append(rg.Combos, alpenc.Combo{E: e, F: f})
@@ -308,7 +340,7 @@ func unmarshalRowGroup(r *reader) (RowGroup, error) {
 		return rg, corrupt("vector count %d for %d values", nv, rg.N)
 	}
 	for j := 0; j < nv; j++ {
-		v, err := unmarshalALPVector(r)
+		v, err := unmarshalALPVector[T](r)
 		if err != nil {
 			return rg, err
 		}
@@ -323,19 +355,41 @@ func unmarshalRowGroup(r *reader) (RowGroup, error) {
 	return rg, r.err
 }
 
-// unmarshalALPVector reads one decimal-scheme vector. Exception
+// unmarshalRDEncoder reads an ALP_rd cut position, code width and
+// dictionary. The cut must leave a left part inside T's width.
+func unmarshalRDEncoder[T vector.Float](r *reader) (*alprd.Encoder, error) {
+	p := r.u8()
+	cw := uint(r.u8())
+	dictLen := int(r.u8())
+	if r.err != nil {
+		return nil, r.err
+	}
+	if uint(p) >= vector.BitWidth[T]() {
+		return nil, corrupt("RD cut position %d", p)
+	}
+	if cw > alprd.MaxDictBits || dictLen > 1<<cw {
+		return nil, corrupt("RD dictionary: width %d size %d", cw, dictLen)
+	}
+	dict := make([]uint16, dictLen)
+	for i := range dict {
+		dict[i] = r.u16()
+	}
+	return alprd.NewEncoder(p, cw, dict), r.err
+}
+
+// unmarshalALPVector reads one decimal-scheme vector of T. Exception
 // positions must strictly increase, as the encoder writes them: the
 // pushdown filter and gather walk them in order, and an unsorted list
 // would make them answer differently from a plain decode.
-func unmarshalALPVector(r *reader) (alpenc.Vector, error) {
-	var v alpenc.Vector
+func unmarshalALPVector[T vector.Float](r *reader) (alpenc.VectorOf[T], error) {
+	var v alpenc.VectorOf[T]
 	v.E = r.u8()
 	v.F = r.u8()
 	v.N = int(r.u16())
 	if r.err != nil {
 		return v, r.err
 	}
-	if v.E > alpenc.MaxExponent || v.F > v.E {
+	if !alpenc.ValidCombo[T](v.E, v.F) {
 		return v, corrupt("vector combo (%d, %d)", v.E, v.F)
 	}
 	if v.N <= 0 || v.N > vector.Size {
@@ -363,7 +417,11 @@ func unmarshalALPVector(r *reader) (alpenc.Vector, error) {
 		v.ExcPos = append(v.ExcPos, p)
 	}
 	for i := 0; i < ne; i++ {
-		v.ExcVals = append(v.ExcVals, math.Float64frombits(r.u64()))
+		if vector.BitWidth[T]() == 32 {
+			v.ExcVals = append(v.ExcVals, vector.FromBits[T](uint64(r.u32())))
+		} else {
+			v.ExcVals = append(v.ExcVals, vector.FromBits[T](r.u64()))
+		}
 	}
 	return v, r.err
 }

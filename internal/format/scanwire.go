@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"github.com/goalp/alp/internal/alpenc"
+	"github.com/goalp/alp/internal/alprd"
 	"github.com/goalp/alp/internal/fastlanes"
 	"github.com/goalp/alp/internal/obs"
 	"github.com/goalp/alp/internal/vector"
@@ -221,7 +222,7 @@ func (w *ScanWriter) Frame(i int, lo, hi float64) (frame []byte, count int, kind
 	// and raw (the selected rows, compacted by walking the bitmap's set
 	// bits).
 	v := &rg.RDVectors[local]
-	rg.RD.DecodeVector(v, w.buf[:v.N])
+	alprd.DecodeVector(rg.RD, v, w.buf[:v.N])
 	count = filterFloats(w.buf[:v.N], lo, hi, w.sel[:])
 	if count == 0 {
 		return nil, 0, 0, false
@@ -527,10 +528,10 @@ func (d *ScanDecoder) decodeDense(payload []byte) ([]float64, error) {
 		}
 		if count == total {
 			// Full match: every row qualifies, skip the bitmap gather.
-			env.RDEnc.DecodeVector(&env.RD, d.out[:total])
+			alprd.DecodeVector(env.RDEnc, &env.RD, d.out[:total])
 			return d.out[:total], nil
 		}
-		env.RDEnc.DecodeVector(&env.RD, d.tmp[:total])
+		alprd.DecodeVector(env.RDEnc, &env.RD, d.tmp[:total])
 		return d.out[:gatherSelected(d.out, d.tmp[:total], d.sel[:])], nil
 	}
 	if env.ALP.N != total {

@@ -40,10 +40,7 @@ func (c *Column) appendVectorEnvelope(out []byte, i int) []byte {
 	if rg.Scheme == SchemeRD {
 		out = binary.LittleEndian.AppendUint32(out, VectorMagic)
 		out = append(out, byte(rg.Scheme))
-		out = append(out, rg.RD.P, byte(rg.RD.CodeWidth), byte(len(rg.RD.Dict)))
-		for _, d := range rg.RD.Dict {
-			out = binary.LittleEndian.AppendUint16(out, d)
-		}
+		out = marshalRDEncoder(out, rg.RD)
 		return marshalRDVector(out, &rg.RDVectors[local])
 	}
 	return AppendALPVectorEnvelope(out, &rg.Vectors[local])
@@ -117,31 +114,15 @@ func parseVectorEnvelope(r *reader) (vectorEnvelope, error) {
 		return env, corrupt("unknown scheme %d", env.Scheme)
 	}
 	if env.Scheme == SchemeRD {
-		p := r.u8()
-		cw := uint(r.u8())
-		dictLen := int(r.u8())
-		if r.err != nil {
-			return env, r.err
-		}
-		if p > 63 {
-			return env, corrupt("RD cut position %d", p)
-		}
-		if cw > alprd.MaxDictBits || dictLen > 1<<cw {
-			return env, corrupt("RD dictionary: width %d size %d", cw, dictLen)
-		}
-		dict := make([]uint16, dictLen)
-		for i := range dict {
-			dict[i] = r.u16()
-		}
-		env.RDEnc = alprd.NewEncoder(p, cw, dict)
-		v, err := unmarshalRDVector(r, p, cw)
+		enc, err := unmarshalRDEncoder[float64](r)
 		if err != nil {
 			return env, err
 		}
-		env.RD = v
-		return env, nil
+		env.RDEnc = enc
+		env.RD, err = unmarshalRDVector(r, enc.P, enc.CodeWidth)
+		return env, err
 	}
-	v, err := unmarshalALPVector(r)
+	v, err := unmarshalALPVector[float64](r)
 	if err != nil {
 		return env, err
 	}
@@ -169,7 +150,7 @@ func UnmarshalVector(data []byte, dst []float64, scratch []int64) (int, error) {
 		if len(dst) < env.RD.N {
 			return 0, corrupt("destination holds %d values, vector has %d", len(dst), env.RD.N)
 		}
-		env.RDEnc.DecodeVector(&env.RD, dst[:env.RD.N])
+		alprd.DecodeVector(env.RDEnc, &env.RD, dst[:env.RD.N])
 		return env.RD.N, nil
 	}
 	if len(dst) < env.ALP.N {

@@ -282,7 +282,7 @@ func measureALPRD(values []float64, lo, hi float64, opt Options) (Entry, float64
 	encodeAll := func() {
 		for i := 0; i < nv; i++ {
 			vlo, vhi := vector.Bounds(i, n)
-			vecs[i] = enc.EncodeVector(values[vlo:vhi])
+			vecs[i] = alprd.EncodeVector(enc, values[vlo:vhi])
 		}
 	}
 	encodeAll()
@@ -295,7 +295,7 @@ func measureALPRD(values []float64, lo, hi float64, opt Options) (Entry, float64
 	decodeAll := func() {
 		for i := 0; i < nv; i++ {
 			vlo, vhi := vector.Bounds(i, n)
-			enc.DecodeVector(&vecs[i], dst[vlo:vhi])
+			alprd.DecodeVector(enc, &vecs[i], dst[vlo:vhi])
 		}
 	}
 

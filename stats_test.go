@@ -112,32 +112,45 @@ func secondStageRuns(s Stats) int64 {
 
 func TestStatsRDFallbackCounts(t *testing.T) {
 	withStats(t, func() {
-		// Full-mantissa random doubles defeat the decimal scheme: the
-		// row-group must fall back to ALP_rd and report its sampling.
+		// Full-mantissa random values defeat the decimal scheme: the
+		// row-group must fall back to ALP_rd and report its sampling, at
+		// both widths (16 cut positions each).
 		r := rand.New(rand.NewSource(7))
 		values := make([]float64, 2*VectorSize)
 		for i := range values {
 			values[i] = r.NormFloat64()
 		}
-		col := Compress(values)
-		if !col.UsedRD() {
-			t.Skip("random data unexpectedly encodable as decimals")
+		values32 := make([]float32, 2*VectorSize)
+		for i := range values32 {
+			values32[i] = float32(r.NormFloat64())
 		}
-		s := ReadStats()
-		if s.RowGroupsRD != 1 || s.RowGroupsALP != 0 {
-			t.Fatalf("row groups ALP/RD = %d/%d, want 0/1", s.RowGroupsALP, s.RowGroupsRD)
-		}
-		if s.VectorsEncoded != 2 {
-			t.Fatalf("VectorsEncoded = %d, want 2", s.VectorsEncoded)
-		}
-		if s.RDSampledRowGroups != 1 || s.RDCutsTried != 16 {
-			t.Fatalf("RD sampling: %d groups, %d cuts, want 1 and 16",
-				s.RDSampledRowGroups, s.RDCutsTried)
-		}
-		// RD vectors must not pollute the FFOR bit-width histogram.
-		for w, n := range s.BitWidthHist {
-			if n != 0 {
-				t.Fatalf("hist[%d] = %d, want empty histogram for RD-only column", w, n)
+		for _, width := range []string{"float64", "float32"} {
+			ResetStats()
+			var usedRD bool
+			if width == "float64" {
+				usedRD = Compress(values).UsedRD()
+			} else {
+				usedRD = Compress32(values32).UsedRD()
+			}
+			if !usedRD {
+				t.Fatalf("%s: random data encoded as decimals", width)
+			}
+			s := ReadStats()
+			if s.RowGroupsRD != 1 || s.RowGroupsALP != 0 {
+				t.Fatalf("%s: row groups ALP/RD = %d/%d, want 0/1", width, s.RowGroupsALP, s.RowGroupsRD)
+			}
+			if s.VectorsEncoded != 2 {
+				t.Fatalf("%s: VectorsEncoded = %d, want 2", width, s.VectorsEncoded)
+			}
+			if s.RDSampledRowGroups != 1 || s.RDCutsTried != 16 {
+				t.Fatalf("%s: RD sampling: %d groups, %d cuts, want 1 and 16",
+					width, s.RDSampledRowGroups, s.RDCutsTried)
+			}
+			// RD vectors must not pollute the FFOR bit-width histogram.
+			for w, n := range s.BitWidthHist {
+				if n != 0 {
+					t.Fatalf("%s: hist[%d] = %d, want empty histogram for RD-only column", width, w, n)
+				}
 			}
 		}
 	})

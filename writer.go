@@ -142,7 +142,8 @@ func (w *Writer) Close() []byte {
 		w.pool = nil
 	}
 	w.closed = true
-	col := &format.Column{N: w.n, RowGroups: w.groups, Zones: &w.zones}
+	col := &format.Column{Zones: &w.zones}
+	col.N, col.RowGroups = w.n, w.groups
 	w.out = col.Marshal()
 	return w.out
 }
