@@ -1,5 +1,5 @@
 // Command alpserved serves ALP-compressed columns over HTTP: streaming
-// ingest into the parallel Writer, server-side predicate pushdown
+// ingest into the parallel row-group encoder, server-side predicate pushdown
 // (agg/count/scan), raw encoded-vector shipping for thin clients, and
 // the codec-wide metrics endpoint. With -metrics-history the server
 // also records its own telemetry into an ALP-compressed time-series

@@ -25,7 +25,8 @@ func BenchmarkAggClustered(b *testing.B) {
 	for i := range values {
 		values[i] = float64((i*7919)%100000) / 100
 	}
-	stream := format.EncodeColumn(values).Marshal()
+	col := format.EncodeColumn(values)
+	stream := col.Marshal()
 	pred := engine.Between(250, 749.995)
 	ctx := context.Background()
 
@@ -44,7 +45,7 @@ func BenchmarkAggClustered(b *testing.B) {
 			}()
 			co := cluster.New(urls, cluster.Options{})
 			defer co.Close()
-			if _, err := co.Put(ctx, "bench", stream); err != nil {
+			if _, err := co.Put(ctx, "bench", col, stream); err != nil {
 				b.Fatalf("ingest: %v", err)
 			}
 

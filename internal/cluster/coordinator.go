@@ -191,18 +191,14 @@ func (c *Coordinator) MetricsExtras() []obs.Extra {
 
 // ---- ingest ----
 
-// Put splits a marshaled column at row-group boundaries per the
-// partition map and ships each backend its sub-column as compressed
-// bytes: no backend re-encodes. The ingest is all-or-nothing: any
-// backend failure unwinds the partial writes and leaves the previous
-// generation (if any) untouched.
-func (c *Coordinator) Put(ctx context.Context, name string, stream []byte) (server.ColumnInfo, error) {
+// Put splits col, whose marshaled form is stream, at row-group
+// boundaries per the partition map and ships each backend its
+// sub-column as compressed bytes: no backend re-encodes. The ingest is
+// all-or-nothing: any backend failure unwinds the partial writes and
+// leaves the previous generation (if any) untouched.
+func (c *Coordinator) Put(ctx context.Context, name string, col *format.Column, stream []byte) (server.ColumnInfo, error) {
 	if strings.Contains(name, "@") {
 		return server.ColumnInfo{}, fmt.Errorf("%w: column name %q: %q is reserved for shard generations", server.ErrBadRequest, name, "@")
-	}
-	col, err := format.Unmarshal(stream)
-	if err != nil {
-		return server.ColumnInfo{}, fmt.Errorf("%w: compressed stream: %w", server.ErrBadRequest, err)
 	}
 
 	c.mu.Lock()

@@ -131,7 +131,8 @@ func encodeColumn[T vector.Float](values []T, workers int) columnOf[T] {
 
 // EncodeRowGroup compresses one row-group of values starting at global
 // index start. It is the building block of streaming writers: each
-// row-group is sampled and encoded independently.
+// row-group is sampled and encoded independently. Nothing in the
+// result aliases values, so the caller may reuse them at once.
 func EncodeRowGroup[T vector.Float](values []T, start int) RowGroupOf[T] {
 	return encodeRowGroup(values, start, make([]int64, vector.Size))
 }
@@ -143,19 +144,27 @@ func encodeRowGroup[T vector.Float](values []T, start int, scratch []int64) RowG
 		began = time.Now()
 	}
 	rg := RowGroupOf[T]{Start: start, N: len(values)}
+	nv := vector.VectorsIn(len(values))
 	dec := alpenc.SampleRowGroup(values)
 	rd := dec.UseRD || len(dec.Combos) == 0
+	var enc *alprd.Encoder
 	if rd {
 		rg.Scheme = SchemeRD
-		rg.RD = alprd.Sample(values)
+		enc = alprd.Sample(values)
+		rg.RDVectors = make([]alprd.Vector, 0, nv)
+		// The row-group keeps the parameters without the 128 KiB encode
+		// index enc builds: a stored row-group never encodes again.
+		rg.RD = alprd.NewEncoder(enc.P, enc.CodeWidth, enc.Dict)
 	} else {
 		rg.Scheme = SchemeALP
 		rg.Combos = dec.Combos
+		rg.Vectors = make([]alpenc.VectorOf[T], 0, nv)
+		rg.SecondStageTried = make([]int, 0, nv)
 	}
-	for v := 0; v < vector.VectorsIn(len(values)); v++ {
+	for v := 0; v < nv; v++ {
 		lo, hi := vector.Bounds(v, len(values))
 		if rd {
-			ev := alprd.EncodeVector(rg.RD, values[lo:hi])
+			ev := alprd.EncodeVector(enc, values[lo:hi])
 			o.VectorEncoded(ev.N, ev.Exceptions(), obs.WidthNone)
 			rg.RDVectors = append(rg.RDVectors, ev)
 			continue

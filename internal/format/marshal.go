@@ -28,9 +28,14 @@ func corrupt(whatf string, args ...any) error {
 const Magic32 = uint32(0x664C5041)
 
 // Marshal serializes the column to a self-describing byte stream: the
-// row-groups, then the optional zone-map trailer.
+// row-groups, then the optional zone-map trailer. The stream is
+// written into one allocation of exactly its length.
 func (c *Column) Marshal() []byte {
-	out := c.marshal(Magic)
+	trailer := 1 // zone-map flag
+	if c.Zones != nil {
+		trailer += len(c.Zones.Min) * zoneEntryBytes
+	}
+	out := c.marshal(Magic, trailer)
 	// Optional zone-map trailer (scan statistics, not codec payload).
 	if c.Zones == nil {
 		return append(out, 0)
@@ -48,12 +53,21 @@ func (c *Column) Marshal() []byte {
 	return out
 }
 
-// Marshal serializes the float32 column; its stream has no trailer.
-func (c *Column32) Marshal() []byte { return c.marshal(Magic32) }
+// zoneEntryBytes is one vector's zone-map trailer entry: min, max and
+// the presence byte.
+const zoneEntryBytes = 8 + 8 + 1
 
-// marshal writes the stream header under magic and every row-group.
-func (c *columnOf[T]) marshal(magic uint32) []byte {
-	out := make([]byte, 0, c.SizeBits()/8+64)
+// Marshal serializes the float32 column; its stream has no trailer.
+func (c *Column32) Marshal() []byte { return c.marshal(Magic32, 0) }
+
+// marshal writes the stream header under magic and every row-group
+// into a slice with room for exactly them plus trailer more bytes.
+func (c *columnOf[T]) marshal(magic uint32, trailer int) []byte {
+	size := 4 + 8 + 4 + trailer // magic, count, row-group count
+	for i := range c.RowGroups {
+		size += c.RowGroups[i].marshaledSize()
+	}
+	out := make([]byte, 0, size)
 	out = binary.LittleEndian.AppendUint32(out, magic)
 	out = binary.LittleEndian.AppendUint64(out, uint64(c.N))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(c.RowGroups)))
@@ -61,6 +75,27 @@ func (c *columnOf[T]) marshal(magic uint32) []byte {
 		out = marshalRowGroup(out, &c.RowGroups[i])
 	}
 	return out
+}
+
+// marshaledSize is the byte length marshalRowGroup writes for rg.
+func (rg *RowGroupOf[T]) marshaledSize() int {
+	size := 1 + 4 + 4 + 2 // scheme, start, count, vector count
+	if rg.Scheme == SchemeRD {
+		size += 3 + 2*len(rg.RD.Dict) // cut, code width, dictionary
+		for j := range rg.RDVectors {
+			v := &rg.RDVectors[j]
+			size += 2 + 8*(len(v.RightWords)+len(v.CodeWords)) + 2 + 4*len(v.ExcPos)
+		}
+		return size
+	}
+	size += 1 + 2*len(rg.Combos)
+	excBytes := int(vector.BitWidth[T]() / 8)
+	for j := range rg.Vectors {
+		v := &rg.Vectors[j]
+		// e, f, count, base, width, words, exceptions
+		size += 2 + 2 + 8 + 1 + 8*len(v.Ints.Words) + 2 + (2+excBytes)*len(v.ExcPos)
+	}
+	return size
 }
 
 func marshalRowGroup[T vector.Float](out []byte, rg *RowGroupOf[T]) []byte {

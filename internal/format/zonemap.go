@@ -21,7 +21,10 @@ type ZoneMap struct {
 	HasValues []bool // false when the vector holds no non-NaN values
 }
 
-// BuildZoneMap computes per-vector statistics for values.
+// BuildZoneMap computes per-vector statistics for values. NaN fails
+// both compares, so it never moves a bound, and a vector holds a value
+// exactly when its bounds end up ordered. On a ±0 tie the first
+// occurrence stays.
 func BuildZoneMap(values []float64) *ZoneMap {
 	nv := vector.VectorsIn(len(values))
 	zm := &ZoneMap{
@@ -31,21 +34,16 @@ func BuildZoneMap(values []float64) *ZoneMap {
 	}
 	for v := 0; v < nv; v++ {
 		lo, hi := vector.Bounds(v, len(values))
-		min, max := math.Inf(1), math.Inf(-1)
-		any := false
+		mn, mx := math.Inf(1), math.Inf(-1)
 		for _, x := range values[lo:hi] {
-			if math.IsNaN(x) {
-				continue
+			if x < mn {
+				mn = x
 			}
-			any = true
-			if x < min {
-				min = x
-			}
-			if x > max {
-				max = x
+			if x > mx {
+				mx = x
 			}
 		}
-		zm.Min[v], zm.Max[v], zm.HasValues[v] = min, max, any
+		zm.Min[v], zm.Max[v], zm.HasValues[v] = mn, mx, mn <= mx
 	}
 	return zm
 }

@@ -25,7 +25,7 @@ const (
 	SpanAdmission Span = iota // drain gate + limiter + deadline setup
 	SpanRegistry              // column registry lookup
 	SpanRead                  // request body read (ingest)
-	SpanEncode                // Writer encode (ingest)
+	SpanEncode                // row-group encodes summed over workers, plus the marshal (ingest)
 	SpanEngine                // engine kernel work (agg/count/scan compute)
 	SpanWrite                 // response payload writes
 	NumSpans

@@ -143,6 +143,46 @@ func TestAggEngineSpan(t *testing.T) {
 	}
 }
 
+// TestIngestEncodeSpan: a raw ingest books its row-group encodes,
+// summed over the pool's workers, and its marshal as the encode span;
+// a compressed ingest encodes nothing and logs none.
+func TestIngestEncodeSpan(t *testing.T) {
+	var access syncBuffer
+	ts := httptest.NewServer(New(Options{AccessLog: &access}).Handler())
+	defer ts.Close()
+	values := dataset(4*102400, 33)
+	for i, c := range []struct {
+		contentType string
+		body        []byte
+		encodes     bool
+	}{
+		{rawContentType, leBody(values), true},
+		{CompressedContentType, alp.Encode(values), false},
+	} {
+		reqID := fmt.Sprintf("ingest-span-%d", i)
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/columns/spans", bytes.NewReader(c.body))
+		req.Header.Set("Content-Type", c.contentType)
+		req.Header.Set(RequestIDHeader, reqID)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.contentType, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s: status %d", c.contentType, resp.StatusCode)
+		}
+		var rec struct {
+			Spans map[string]int64 `json:"spans"`
+		}
+		if err := json.Unmarshal([]byte(waitForLine(t, &access, reqID)), &rec); err != nil {
+			t.Fatalf("%s: access-log line is not JSON: %v", c.contentType, err)
+		}
+		if got := rec.Spans["encode"]; (got > 0) != c.encodes {
+			t.Errorf("%s: encode span = %d, want it logged: %v", c.contentType, got, c.encodes)
+		}
+	}
+}
+
 // waitForLine polls buf until a log line containing token appears.
 func waitForLine(t *testing.T, buf *syncBuffer, token string) string {
 	t.Helper()

@@ -47,14 +47,9 @@ func NewRegistry() *Registry {
 	return &Registry{cols: make(map[string]*storedColumn)}
 }
 
-// Put parses a marshaled column stream and binds it to name, replacing
-// any existing column atomically. The stream is validated before the
-// swap, so a failed Put leaves the previous binding untouched.
-func (r *Registry) Put(_ context.Context, name string, data []byte) (ColumnInfo, error) {
-	col, err := format.Unmarshal(data)
-	if err != nil {
-		return ColumnInfo{}, fmt.Errorf("%w: column %q: %w", ErrBadRequest, name, err)
-	}
+// Put binds col, whose marshaled form is data, to name, replacing any
+// existing column atomically.
+func (r *Registry) Put(_ context.Context, name string, col *format.Column, data []byte) (ColumnInfo, error) {
 	sc := &storedColumn{
 		name: name,
 		data: data,

@@ -9,7 +9,7 @@
 //
 // API (all JSON errors are {"error": "..."}):
 //
-//	POST   /v1/columns/{name}            ingest little-endian float64s (streamed into the parallel Writer),
+//	POST   /v1/columns/{name}            ingest little-endian float64s (read straight into the encoder's row-group buffers),
 //	                                     or a marshaled column stream verbatim (Content-Type application/x-alp-column)
 //	GET    /v1/columns                   list column names
 //	GET    /v1/columns/{name}            column info (values, bits/value, schemes, exceptions)
@@ -72,7 +72,6 @@ package server
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -87,7 +86,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/goalp/alp"
 	"github.com/goalp/alp/internal/engine"
 	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/metricstore"
@@ -105,7 +103,7 @@ type Options struct {
 	MaxBodyBytes int64
 	// RetryAfter is the hint returned with shed load. 0 means 1s.
 	RetryAfter time.Duration
-	// IngestWorkers is the Writer encode-pool size (0 = one per CPU).
+	// IngestWorkers is the raw-ingest encode-pool size (0 = one per CPU).
 	IngestWorkers int
 	// AccessLog, when set, receives one JSON line per admitted request
 	// (request ID, method, path, status, bytes, duration, span
@@ -643,9 +641,10 @@ func validateName(name string) error {
 // row-group ranges over.
 const CompressedContentType = "application/x-alp-column"
 
-// handleIngest turns the body into a marshaled column stream and hands
-// it to the service's Put: a compressed body verbatim, a raw one
-// streamed through the parallel Writer.
+// handleIngest turns the body into a column and its marshaled stream
+// and hands both to the service's Put: a compressed body parsed once
+// here, with every check of format.Unmarshal, or a raw one encoded in
+// one pass from the socket.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	name := r.PathValue("name")
 	if err := validateName(name); err != nil {
@@ -654,16 +653,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	ctx := r.Context()
 	tr := obs.TraceFrom(ctx)
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	var col *format.Column
 	var data []byte
 	var n int64
 	var err error
 	if r.Header.Get("Content-Type") == CompressedContentType {
 		readStart := time.Now()
 		data, err = io.ReadAll(body)
-		tr.AddSince(obs.SpanRead, readStart)
 		n = int64(len(data))
+		if err == nil {
+			if col, err = format.Unmarshal(data); err != nil {
+				err = errorf(http.StatusBadRequest, "compressed column: %v", err)
+			}
+		}
+		tr.AddSince(obs.SpanRead, readStart)
 	} else {
-		data, n, err = s.encodeRaw(ctx, body)
+		col, data, n, err = s.encodeRaw(ctx, body)
 	}
 	if err != nil {
 		var se *statusError
@@ -682,7 +687,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	}
 	obs.Active().ServerBytesIn(n)
 	regStart := time.Now()
-	info, err := s.svc.Put(ctx, name, data)
+	info, err := s.svc.Put(ctx, name, col, data)
 	tr.AddSince(obs.SpanRegistry, regStart)
 	if err != nil {
 		return err
@@ -691,56 +696,51 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// encodeRaw streams a body of little-endian float64s into a parallel
-// Writer: full row-groups are encoded by the bounded pool while the
-// body is still arriving, so ingest memory stays bounded at workers+1
-// raw row-groups regardless of column size. It returns the marshaled
-// stream and the body's byte count.
-func (s *Server) encodeRaw(ctx context.Context, body io.Reader) ([]byte, int64, error) {
+// encodeRaw encodes a body of little-endian float64s in one pass: the
+// encoder reads it straight into row-group buffers, and its pool
+// encodes full row-groups while the body is still arriving, so ingest
+// memory stays bounded at workers+2 raw row-groups regardless of
+// column size. It returns the column, its marshaled stream and the
+// body's byte count.
+//
+// Spans: SpanRead is the time to drain the body, which overlaps the
+// pool; SpanEncode is the pool's busy time summed over workers, plus
+// the marshal.
+func (s *Server) encodeRaw(ctx context.Context, body io.Reader) (*format.Column, []byte, int64, error) {
 	tr := obs.TraceFrom(ctx)
 	readStart := time.Now()
-	wr := alp.NewWriterParallel(alp.WriterOptions{Workers: s.opts.IngestWorkers})
-	// Every error return below must tear down the Writer's encode pool,
-	// or each failed ingest would permanently leak the pool's worker
-	// goroutines plus their in-flight row-group buffers. Abort is a
-	// no-op once the success path has called Close.
-	defer wr.Abort()
-	buf := make([]byte, 256<<10)
-	vals := make([]float64, len(buf)/8)
-	rem := 0 // bytes carried over to keep 8-byte alignment
-	var total int64
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, total, err
-		}
-		n, err := body.Read(buf[rem:])
-		total += int64(n)
-		n += rem
-		nv := n / 8
-		for i := 0; i < nv; i++ {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		wr.Write(vals[:nv])
-		rem = n - nv*8
-		copy(buf, buf[nv*8:n])
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, total, err
-		}
+	enc := format.NewEncoder(s.opts.IngestWorkers, tr)
+	// Every error return below must tear down the encode pool, or each
+	// failed ingest would permanently leak the pool's worker goroutines.
+	// Abort is a no-op once the success path has called Close.
+	defer enc.Abort()
+	n, err := enc.ReadFrom(ctxReader{ctx, body})
+	if errors.Is(err, format.ErrPartialValue) {
+		return nil, nil, n, errorf(http.StatusBadRequest, "body length not a multiple of 8 (%d trailing bytes)", n%8)
 	}
-	if rem != 0 {
-		return nil, total, errorf(http.StatusBadRequest, "body length not a multiple of 8 (%d trailing bytes)", rem)
+	if err != nil {
+		return nil, nil, n, err
 	}
-	// Span accounting: the read loop above overlaps the Writer's encode
-	// pool, so SpanRead is "time to drain the body" and SpanEncode is
-	// only the tail the encoder still owed when the body ended.
 	tr.AddSince(obs.SpanRead, readStart)
-	encStart := time.Now()
-	data := wr.Close()
-	tr.AddSince(obs.SpanEncode, encStart)
-	return data, total, nil
+	col := enc.Close()
+	marshalStart := time.Now()
+	data := col.Marshal()
+	tr.AddSince(obs.SpanEncode, marshalStart)
+	return col, data, n, nil
+}
+
+// ctxReader fails reads once ctx is done, so an ingest stops at its
+// deadline even while the body keeps arriving.
+type ctxReader struct {
+	ctx context.Context
+	r   io.Reader
+}
+
+func (c ctxReader) Read(p []byte) (int, error) {
+	if err := c.ctx.Err(); err != nil {
+		return 0, err
+	}
+	return c.r.Read(p)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) error {

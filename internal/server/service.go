@@ -12,6 +12,7 @@ import (
 	"io"
 
 	"github.com/goalp/alp/internal/engine"
+	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/obs"
 )
 
@@ -29,10 +30,12 @@ type Service interface {
 	// Column resolves name to a handle that answers one request. An
 	// unknown name wraps ErrNotFound.
 	Column(ctx context.Context, name string) (Column, error)
-	// Put binds name to a marshaled column stream, replacing any
-	// column of that name. A stream that does not parse wraps
-	// ErrBadRequest, and a failed Put leaves the old binding in place.
-	Put(ctx context.Context, name string, stream []byte) (ColumnInfo, error)
+	// Put binds name to col, replacing any column of that name. stream
+	// is col marshaled: the shell hands over both, the encoder's column
+	// for a raw ingest or its own parse of a compressed body, so no
+	// service re-parses bytes this process produced or checked. A
+	// failed Put leaves the old binding in place.
+	Put(ctx context.Context, name string, col *format.Column, stream []byte) (ColumnInfo, error)
 	// Delete drops a column; an unknown name wraps ErrNotFound.
 	Delete(ctx context.Context, name string) error
 	// Names lists the columns, sorted.

@@ -2,7 +2,6 @@ package alp
 
 import (
 	"github.com/goalp/alp/internal/format"
-	"github.com/goalp/alp/internal/pipeline"
 	"github.com/goalp/alp/internal/vector"
 )
 
@@ -19,31 +18,9 @@ import (
 // the results in row-group order — the serialized stream is
 // byte-identical to the serial Writer's and to Encode's.
 type Writer struct {
-	pending []float64
-	groups  []format.RowGroup
-	zones   format.ZoneMap
-	n       int
-	closed  bool
-	out     []byte // serialized column, cached by the first Close
-
-	pool *pipeline.Pool[groupJob, groupResult]
-}
-
-// groupJob is one raw row-group handed to the encode pool. The values
-// slice is owned by the job: it is copied out of the Writer's pending
-// buffer at submission, so at most workers+1 raw row-group copies
-// exist at any time.
-type groupJob struct {
-	values []float64
-	start  int
-}
-
-// groupResult carries a compressed row-group and its per-vector zone
-// map back to Close. Row-groups are vector-aligned, so concatenating
-// per-group zone maps in order reproduces the whole-column zone map.
-type groupResult struct {
-	rg format.RowGroup
-	zm *format.ZoneMap
+	enc    *format.Encoder
+	closed bool
+	out    []byte // serialized column, cached by the first Close
 }
 
 // NewWriter returns a serial Writer ready for use. The zero value is
@@ -55,34 +32,28 @@ type WriterOptions struct {
 	// Workers is the number of row-group encode workers: 0 or negative
 	// means one per CPU, 1 selects the serial path (same as NewWriter).
 	// Values beyond maxWriterWorkers are clamped — each worker holds a
-	// raw row-group copy, so unbounded counts would turn a config typo
-	// into a memory blow-up.
+	// raw row-group, so unbounded counts would turn a config typo into
+	// a memory blow-up.
 	Workers int
 }
 
-// maxWriterWorkers bounds the encode pool. One worker pins ~800 KB of
-// raw row-group, so the cap also caps in-flight memory.
-const maxWriterWorkers = 1024
+// maxWriterWorkers bounds the encode pool.
+const maxWriterWorkers = format.MaxEncodeWorkers
 
 // NewWriterParallel returns a Writer whose row-groups are encoded by a
 // bounded worker pool. The serialized output is byte-identical to the
 // serial Writer's; only throughput and (bounded) memory use differ.
 func NewWriterParallel(opt WriterOptions) *Writer {
-	workers := pipeline.Workers(opt.Workers)
-	if workers > maxWriterWorkers {
-		workers = maxWriterWorkers
+	return &Writer{enc: format.NewEncoder(opt.Workers, nil)}
+}
+
+// encoder returns the Writer's encoder, making the zero value's serial
+// one on first use.
+func (w *Writer) encoder() *format.Encoder {
+	if w.enc == nil {
+		w.enc = format.NewEncoder(1, nil)
 	}
-	if workers <= 1 {
-		return NewWriter()
-	}
-	w := &Writer{}
-	w.pool = pipeline.NewPool(workers, func(_ int, j groupJob) groupResult {
-		return groupResult{
-			rg: format.EncodeRowGroup(j.values, j.start),
-			zm: format.BuildZoneMap(j.values),
-		}
-	})
-	return w
+	return w.enc
 }
 
 // Write buffers values for compression. It may be called any number of
@@ -93,33 +64,11 @@ func (w *Writer) Write(values []float64) {
 	if w.closed {
 		panic("alp: Write after Close")
 	}
-	w.pending = append(w.pending, values...)
-	for len(w.pending) >= vector.RowGroupSize {
-		w.flush(w.pending[:vector.RowGroupSize])
-		w.pending = w.pending[vector.RowGroupSize:]
-	}
-}
-
-func (w *Writer) flush(group []float64) {
-	if w.pool != nil {
-		w.pool.Submit(groupJob{values: append([]float64(nil), group...), start: w.n})
-		w.n += len(group)
-		return
-	}
-	w.groups = append(w.groups, format.EncodeRowGroup(group, w.n))
-	zm := format.BuildZoneMap(group)
-	w.appendZones(zm)
-	w.n += len(group)
-}
-
-func (w *Writer) appendZones(zm *format.ZoneMap) {
-	w.zones.Min = append(w.zones.Min, zm.Min...)
-	w.zones.Max = append(w.zones.Max, zm.Max...)
-	w.zones.HasValues = append(w.zones.HasValues, zm.HasValues...)
+	w.encoder().Write(values)
 }
 
 // Len returns the number of values written so far.
-func (w *Writer) Len() int { return w.n + len(w.pending) }
+func (w *Writer) Len() int { return w.encoder().Len() }
 
 // Close compresses any buffered remainder, waits for in-flight
 // row-groups, and returns the serialized column. After the first call
@@ -127,24 +76,10 @@ func (w *Writer) Len() int { return w.n + len(w.pending) }
 // returns the same byte slice the first one produced (it is cached,
 // not re-encoded).
 func (w *Writer) Close() []byte {
-	if w.closed {
-		return w.out
+	if !w.closed {
+		w.closed = true
+		w.out = w.encoder().Close().Marshal()
 	}
-	if len(w.pending) > 0 {
-		w.flush(w.pending)
-		w.pending = nil
-	}
-	if w.pool != nil {
-		for _, r := range w.pool.Finish() {
-			w.groups = append(w.groups, r.rg)
-			w.appendZones(r.zm)
-		}
-		w.pool = nil
-	}
-	w.closed = true
-	col := &format.Column{Zones: &w.zones}
-	col.N, col.RowGroups = w.n, w.groups
-	w.out = col.Marshal()
 	return w.out
 }
 
@@ -155,16 +90,10 @@ func (w *Writer) Close() []byte {
 // Close (or a second Abort) is a no-op, so `defer w.Abort()` is a safe
 // teardown on error paths that may or may not reach Close.
 func (w *Writer) Abort() {
-	if w.closed {
-		return
+	if !w.closed && w.enc != nil {
+		w.enc.Abort()
 	}
 	w.closed = true
-	w.pending = nil
-	w.groups = nil
-	if w.pool != nil {
-		w.pool.Finish()
-		w.pool = nil
-	}
 }
 
 // Reader decompresses a column stream vector-at-a-time, the access
