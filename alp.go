@@ -36,6 +36,7 @@ import (
 	"io"
 
 	"github.com/goalp/alp/internal/format"
+	"github.com/goalp/alp/internal/obs"
 	"github.com/goalp/alp/internal/pipeline"
 	"github.com/goalp/alp/internal/vector"
 )
@@ -178,7 +179,7 @@ func (c *Column) Values() []float64 { return c.ValuesParallel(0) }
 func (c *Column) ValuesParallel(workers int) []float64 {
 	out := make([]float64, c.col.N)
 	scratches := make([][]int64, pipeline.Workers(workers))
-	pipeline.Run(len(c.col.RowGroups), workers, func(worker, g int) {
+	pipeline.Run(len(c.col.RowGroups), workers, obs.PipelineWorkers, obs.PipelineClaims, func(worker, g int) {
 		if scratches[worker] == nil {
 			scratches[worker] = make([]int64, vector.Size)
 		}

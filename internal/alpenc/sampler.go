@@ -101,6 +101,26 @@ func sampleEquidistant[T vector.Float](src []T, count int) []T {
 	return out
 }
 
+// StridedBest is the second look the encoder takes at a vector whose
+// chosen combination left at least half its values as exceptions. Both
+// sampling levels take every 32nd value (§3.2), so on a regularly
+// spaced series the samples can share a property the rest lack: on
+// i*0.25 every sampled value is an integer, the chosen combination
+// encodes integers only, and three values in four become exceptions.
+// StridedBest runs FindBest on SampleValuesPerVec values taken at the
+// odd stride 31, which no power-of-two period lines up with, and
+// returns the winner. The sample lives on the stack.
+func StridedBest[T vector.Float](vec []T) Combo {
+	var buf [SampleValuesPerVec]T
+	n := 0
+	for i := 0; i < len(vec) && n < len(buf); i += 31 {
+		buf[n] = vec[i]
+		n++
+	}
+	best, _ := FindBest(buf[:n])
+	return best
+}
+
 // SampleRowGroup performs first-level sampling on a row-group of values
 // (§3.2): it samples equidistant values from equidistant vectors, finds
 // each sampled vector's best combination exhaustively, and keeps the k
@@ -171,7 +191,7 @@ func SampleRowGroup[T vector.Float](values []T) Decision {
 func ChooseForVector[T vector.Float](vec []T, combos []Combo) (Combo, int) {
 	o := obs.Active()
 	if len(combos) == 1 {
-		o.SecondStageSkipped()
+		o.Add(obs.SecondStageSkips, 1)
 		return combos[0], 0
 	}
 	sample := sampleEquidistant(vec, SecondStageSamples)

@@ -266,8 +266,8 @@ func RunFilter(w io.Writer, opt Options, scale int) {
 		naiveSec := measureSeconds(func() { alp.FilterAggNaive(1, p) }, opt.MinDur)
 		fmt.Fprintf(tw, "%.1f%%\t%d\t%d\t%d\t%.2fms\t%.2fms\t%.1fx\n",
 			100*s, push.Count,
-			snap.PushdownVectors-before.PushdownVectors,
-			snap.PushdownFallbacks-before.PushdownFallbacks,
+			snap.Counter[obs.PushdownVectors]-before.Counter[obs.PushdownVectors],
+			snap.Counter[obs.PushdownFallbacks]-before.Counter[obs.PushdownFallbacks],
 			pushSec*1e3, naiveSec*1e3, naiveSec/pushSec)
 	}
 	tw.Flush()

@@ -383,7 +383,7 @@ func (c *Coordinator) scatterRGs(ctx context.Context, st *colState, need []int, 
 			groups[b] = append(groups[b], g)
 		}
 		if len(missing) > 0 {
-			o.ClusterPartialUnavailable()
+			o.Add(obs.ClusterPartial, 1)
 			return &PartialUnavailableError{Col: st.name, MissingRowGroups: missing, Cause: lastErr}
 		}
 		if round == 0 {
@@ -414,7 +414,7 @@ func (c *Coordinator) scatterRGs(ctx context.Context, st *colState, need []int, 
 					return fetch(ctx, cl, b, st.storedName(b), locals, globals)
 				})
 				dur := time.Since(start)
-				o.ClusterCall()
+				o.Add(obs.ClusterCalls, 1)
 				o.Observe(obs.HistClusterBackend, dur.Nanoseconds())
 				c.backendHists[b].Record(dur.Nanoseconds())
 				rmu.Lock()
@@ -435,7 +435,7 @@ func (c *Coordinator) scatterRGs(ctx context.Context, st *colState, need []int, 
 				}
 			}
 			if maxD > 2*minD {
-				o.ClusterStraggler()
+				o.Add(obs.ClusterStragglers, 1)
 			}
 		}
 
@@ -447,7 +447,7 @@ func (c *Coordinator) scatterRGs(ctx context.Context, st *colState, need []int, 
 			excluded[r.b] = true
 			lastErr = fmt.Errorf("backend %s: %w", c.pool.URL(r.b), r.err)
 			retry = append(retry, groups[r.b]...)
-			o.ClusterFailover()
+			o.Add(obs.ClusterFailovers, 1)
 		}
 		sort.Ints(retry)
 		unfilled = retry

@@ -232,7 +232,7 @@ func (c *Coordinator) Rebalance(ctx context.Context, name, from, to string, rgLo
 		assigned: assigned,
 	}
 	c.publish(st.name, next)
-	obs.Active().ClusterRebalance()
+	obs.Active().Add(obs.ClusterRebalances, 1)
 
 	// Old generations are garbage now; queries planned against the old
 	// state may still be in flight, so failures here are harmless (and

@@ -68,7 +68,7 @@ func (c *Coordinator) fetchRun(ctx context.Context, st *colState, p client.Predi
 		return err
 	})
 	dur := time.Since(start)
-	o.ClusterCall()
+	o.Add(obs.ClusterCalls, 1)
 	o.Observe(obs.HistClusterBackend, dur.Nanoseconds())
 	c.backendHists[run.b].Record(dur.Nanoseconds())
 	if err == nil {
@@ -85,10 +85,10 @@ func (c *Coordinator) fetchRun(ctx context.Context, st *colState, p client.Predi
 	excluded[run.b] = true
 	exCopy := append([]bool(nil), excluded...)
 	mu.Unlock()
-	o.ClusterFailover()
+	o.Add(obs.ClusterFailovers, 1)
 	subRuns, missing := c.planRuns(st, run.globals, exCopy)
 	if len(missing) > 0 {
-		o.ClusterPartialUnavailable()
+		o.Add(obs.ClusterPartial, 1)
 		return nil, 0, &PartialUnavailableError{Col: st.name, MissingRowGroups: missing, Cause: cause}
 	}
 	var out []byte
@@ -133,7 +133,7 @@ func (h *column) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi int, w
 
 	runs, missing := c.planRuns(st, rgSpan(rgLo, rgHi), excluded)
 	if len(missing) > 0 {
-		o.ClusterPartialUnavailable()
+		o.Add(obs.ClusterPartial, 1)
 		return 0, &PartialUnavailableError{Col: st.name, MissingRowGroups: missing}
 	}
 	fanout := map[int]bool{}

@@ -11,11 +11,9 @@
 package engine
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/obs"
+	"github.com/goalp/alp/internal/pipeline"
 	"github.com/goalp/alp/internal/vector"
 )
 
@@ -52,36 +50,22 @@ func (r *Relation) CompressedBytes() (total int, ok bool) {
 	return total, ok
 }
 
-// morsels runs fn(k, bufs) for every k in [0, n) on threads worker
-// goroutines, morsel-driven: each worker atomically claims the next
-// index and owns one set of scratch buffers. fn writes its result into
-// slot k of a caller-owned slice, and the caller merges the slots in
-// index order, so no result depends on which worker ran which index.
-// This is the engine's only parallel loop.
+// morsels runs fn(k, bufs) for every k in [0, n) on up to threads
+// workers of pipeline.Run, morsel-driven: each worker atomically claims
+// the next index and owns one set of scratch buffers. fn writes its
+// result into slot k of a caller-owned slice, and the caller merges the
+// slots in index order, so no result depends on which worker ran which
+// index. This is the engine's only parallel loop; one worker runs
+// inline.
 func morsels(threads, n int, fn func(k int, bufs *filterBufs)) {
-	if threads < 1 {
-		threads = 1
-	}
-	o := obs.Active()
-	o.ScanWorkers(threads)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bufs := newFilterBufs()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				o.MorselClaim()
-				fn(k, bufs)
-			}
-		}()
-	}
-	wg.Wait()
+	threads = max(threads, 1)
+	bufs := make([]*filterBufs, min(threads, n))
+	pipeline.Run(n, threads, obs.ScanWorkers, obs.MorselClaims, func(w, k int) {
+		if bufs[w] == nil {
+			bufs[w] = newFilterBufs()
+		}
+		fn(k, bufs[w])
+	})
 }
 
 // Scan decompresses the whole relation with the given parallelism and
@@ -248,7 +232,7 @@ func (r *Relation) SumRange(threads int, lo, hi float64) (sum float64, count, to
 	o := obs.Active()
 	for _, part := range r.Parts {
 		if _, ok := part.(PushdownScanner); ok {
-			o.RangeScan()
+			o.Add(obs.RangeScans, 1)
 		}
 	}
 	a, touched := r.FilterAgg(threads, Between(lo, hi))

@@ -186,15 +186,15 @@ func TestScanObservability(t *testing.T) {
 		t.Fatalf("Scan counted %d tuples, want %d", got, n)
 	}
 	s := c.Snapshot()
-	if s.MorselClaims != 3 {
-		t.Fatalf("MorselClaims = %d, want 3 (one per partition)", s.MorselClaims)
+	if s.Counter[obs.MorselClaims] != 3 {
+		t.Fatalf("MorselClaims = %d, want 3 (one per partition)", s.Counter[obs.MorselClaims])
 	}
-	if s.ScanWorkers != 4 {
-		t.Fatalf("ScanWorkers = %d, want 4", s.ScanWorkers)
+	if s.Counter[obs.ScanWorkers] != 3 {
+		t.Fatalf("ScanWorkers = %d, want 3 (4 threads clamped to 3 partitions)", s.Counter[obs.ScanWorkers])
 	}
 	totalVectors := int64(vector.VectorsIn(n))
-	if s.VectorsDecoded != totalVectors {
-		t.Fatalf("VectorsDecoded = %d, want %d", s.VectorsDecoded, totalVectors)
+	if s.Counter[obs.VectorsDecoded] != totalVectors {
+		t.Fatalf("VectorsDecoded = %d, want %d", s.Counter[obs.VectorsDecoded], totalVectors)
 	}
 
 	// A predicate covering exactly the last 2 vectors of the column:
@@ -219,14 +219,14 @@ func TestScanObservability(t *testing.T) {
 		t.Fatalf("touched = %d, want 2", touched)
 	}
 	s = c.Snapshot()
-	if s.MorselClaims != 3 || s.ScanWorkers != 2 || s.RangeScans != 3 {
+	if s.Counter[obs.MorselClaims] != 3 || s.Counter[obs.ScanWorkers] != 2 || s.Counter[obs.RangeScans] != 3 {
 		t.Fatalf("claims/workers/scans = %d/%d/%d, want 3/2/3",
-			s.MorselClaims, s.ScanWorkers, s.RangeScans)
+			s.Counter[obs.MorselClaims], s.Counter[obs.ScanWorkers], s.Counter[obs.RangeScans])
 	}
-	if s.VectorsDecoded != 2 {
-		t.Fatalf("VectorsDecoded = %d, want 2", s.VectorsDecoded)
+	if s.Counter[obs.VectorsDecoded] != 2 {
+		t.Fatalf("VectorsDecoded = %d, want 2", s.Counter[obs.VectorsDecoded])
 	}
-	if wantSkip := totalVectors - 2; s.VectorsSkipped != wantSkip {
-		t.Fatalf("VectorsSkipped = %d, want %d", s.VectorsSkipped, wantSkip)
+	if wantSkip := totalVectors - 2; s.Counter[obs.VectorsSkipped] != wantSkip {
+		t.Fatalf("VectorsSkipped = %d, want %d", s.Counter[obs.VectorsSkipped], wantSkip)
 	}
 }

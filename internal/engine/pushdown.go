@@ -186,7 +186,7 @@ func (r vecRange) FilterRows(pred Predicate, bufs *filterBufs, out []float64) []
 		batch.Vector(n, pd)
 		out = append(out, bufs.out[:n]...)
 	}
-	o.VectorsSkipped(skipped)
+	o.Add(obs.VectorsSkipped, int64(skipped))
 	o.FlushScanBatch(&batch)
 	return out
 }
@@ -210,7 +210,7 @@ func (r vecRange) FilterCount(pred Predicate, bufs *filterBufs) (int64, int) {
 		touched++
 		count += int64(n)
 	}
-	o.VectorsSkipped(skipped)
+	o.Add(obs.VectorsSkipped, int64(skipped))
 	o.FlushScanBatch(&batch)
 	return count, touched
 }

@@ -144,21 +144,21 @@ func TestFilterAggSkipsAndPushesDown(t *testing.T) {
 		t.Fatalf("touched %d vectors, want 2 (1 straddled + 1 fully covered)", touched)
 	}
 	s := c.Snapshot()
-	if s.PushdownVectors != int64(touched) {
-		t.Fatalf("PushdownVectors = %d, want %d (all touched vectors pushed down)", s.PushdownVectors, touched)
+	if s.Counter[obs.PushdownVectors] != int64(touched) {
+		t.Fatalf("PushdownVectors = %d, want %d (all touched vectors pushed down)", s.Counter[obs.PushdownVectors], touched)
 	}
-	if s.PushdownFallbacks != 0 {
-		t.Fatalf("PushdownFallbacks = %d, want 0 on decimal data", s.PushdownFallbacks)
+	if s.Counter[obs.PushdownFallbacks] != 0 {
+		t.Fatalf("PushdownFallbacks = %d, want 0 on decimal data", s.Counter[obs.PushdownFallbacks])
 	}
-	if s.SelectedRows != want.Count {
-		t.Fatalf("SelectedRows = %d, want %d", s.SelectedRows, want.Count)
+	if s.Counter[obs.SelectedRows] != want.Count {
+		t.Fatalf("SelectedRows = %d, want %d", s.Counter[obs.SelectedRows], want.Count)
 	}
-	if s.VectorsDecoded != 1 {
-		t.Fatalf("VectorsDecoded = %d, want 1 — only the fully-covered vector bulk-decodes; the straddled vector stays in the encoded domain", s.VectorsDecoded)
+	if s.Counter[obs.VectorsDecoded] != 1 {
+		t.Fatalf("VectorsDecoded = %d, want 1 — only the fully-covered vector bulk-decodes; the straddled vector stays in the encoded domain", s.Counter[obs.VectorsDecoded])
 	}
 	wantSkipped := int64(vector.VectorsIn(n) - touched)
-	if s.VectorsSkipped != wantSkipped {
-		t.Fatalf("VectorsSkipped = %d, want %d", s.VectorsSkipped, wantSkipped)
+	if s.Counter[obs.VectorsSkipped] != wantSkipped {
+		t.Fatalf("VectorsSkipped = %d, want %d", s.Counter[obs.VectorsSkipped], wantSkipped)
 	}
 
 	// The naive comparand decodes everything and counts fallbacks.
@@ -171,9 +171,9 @@ func TestFilterAggSkipsAndPushesDown(t *testing.T) {
 		t.Fatalf("naive touched %d vectors, want all %d", naiveTouched, vector.VectorsIn(n))
 	}
 	s = c.Snapshot()
-	if s.PushdownVectors != 0 || s.PushdownFallbacks != int64(naiveTouched) {
+	if s.Counter[obs.PushdownVectors] != 0 || s.Counter[obs.PushdownFallbacks] != int64(naiveTouched) {
 		t.Fatalf("naive PushdownVectors/Fallbacks = %d/%d, want 0/%d",
-			s.PushdownVectors, s.PushdownFallbacks, naiveTouched)
+			s.Counter[obs.PushdownVectors], s.Counter[obs.PushdownFallbacks], naiveTouched)
 	}
 }
 

@@ -230,7 +230,7 @@ func (c *Column) AggVectors(first, end int, lo, hi float64, buf []float64, scrat
 		a.Fold(buf[:n])
 		batch.Vector(n, pd)
 	}
-	o.VectorsSkipped(skipped)
+	o.Add(obs.VectorsSkipped, int64(skipped))
 	o.FlushScanBatch(&batch)
 	return a, touched
 }
@@ -242,7 +242,7 @@ func (c *Column) AggVectors(first, end int, lo, hi float64, buf []float64, scrat
 // fold order of every aggregate in the repo, so the result is
 // bit-identical to the engine's FilterAgg over the same column.
 func (c *Column) AggRange(lo, hi float64) FilterAggResult {
-	obs.Active().RangeScan()
+	obs.Active().Add(obs.RangeScans, 1)
 	buf, scratch := make([]float64, vector.Size), make([]int64, vector.Size)
 	total := alpenc.EmptyAgg()
 	touched := 0

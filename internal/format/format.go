@@ -118,7 +118,7 @@ func encodeColumn[T vector.Float](values []T, workers int) columnOf[T] {
 	ng := vector.RowGroupsIn(len(values))
 	c := columnOf[T]{N: len(values), RowGroups: make([]RowGroupOf[T], ng)}
 	scratches := make([][]int64, pipeline.Workers(workers))
-	pipeline.Run(ng, workers, func(worker, g int) {
+	pipeline.Run(ng, workers, obs.PipelineWorkers, obs.PipelineClaims, func(worker, g int) {
 		if scratches[worker] == nil {
 			scratches[worker] = make([]int64, vector.Size)
 		}
@@ -171,6 +171,14 @@ func encodeRowGroup[T vector.Float](values []T, start int, scratch []int64) RowG
 		}
 		combo, tried := alpenc.ChooseForVector(values[lo:hi], dec.Combos)
 		ev := alpenc.EncodeVector(values[lo:hi], combo, scratch)
+		if 2*ev.Exceptions() >= ev.N {
+			// The sampled combination may be an aliasing artifact:
+			// re-pick from an odd-strided sample, keep the smaller.
+			alt := alpenc.EncodeVector(values[lo:hi], alpenc.StridedBest(values[lo:hi]), scratch)
+			if alt.SizeBits() < ev.SizeBits() {
+				ev = alt
+			}
+		}
 		o.VectorEncoded(ev.N, ev.Exceptions(), ev.Ints.Width)
 		rg.Vectors = append(rg.Vectors, ev)
 		rg.SecondStageTried = append(rg.SecondStageTried, tried)
@@ -235,7 +243,7 @@ func (c *columnOf[T]) Decode() []T {
 func (c *columnOf[T]) DecodeParallel(workers int) []T {
 	out := make([]T, c.N)
 	scratches := make([][]int64, pipeline.Workers(workers))
-	pipeline.Run(len(c.RowGroups), workers, func(worker, g int) {
+	pipeline.Run(len(c.RowGroups), workers, obs.PipelineWorkers, obs.PipelineClaims, func(worker, g int) {
 		if scratches[worker] == nil {
 			scratches[worker] = make([]int64, vector.Size)
 		}

@@ -222,3 +222,49 @@ func TestSamplingOverheadStats(t *testing.T) {
 		t.Fatal("second-stage stats missing")
 	}
 }
+
+// TestRegularSeriesEncodeCompactly: equidistant sampling takes every
+// 32nd value of a vector, so on a series spaced 1/4 apart every sampled
+// value is an integer, the vector's combination encodes integers only,
+// and three values in four become exceptions — more bits per value
+// than raw doubles. The encoder must notice the exceptions and re-pick
+// the combination from an odd-strided sample.
+func TestRegularSeriesEncodeCompactly(t *testing.T) {
+	const n = 250_000
+	series := []struct {
+		name string
+		f    func(i int) float64
+	}{
+		{"i*0.25", func(i int) float64 { return float64(i) * 0.25 }},
+		{"i*0.5", func(i int) float64 { return float64(i) * 0.5 }},
+		{"i/8", func(i int) float64 { return float64(i) / 8 }},
+		{"(i%1000)*0.25", func(i int) float64 { return float64(i%1000) * 0.25 }},
+		{"(i%100)*0.25", func(i int) float64 { return float64(i%100) * 0.25 }},
+		{"1e9+i*0.25", func(i int) float64 { return 1e9 + float64(i)*0.25 }},
+	}
+	for _, s := range series {
+		src := make([]float64, n)
+		for i := range src {
+			src[i] = s.f(i)
+		}
+		c := roundTrip(t, src)
+		t.Logf("%s: %.2f bits/value", s.name, c.BitsPerValue())
+		if c.BitsPerValue() > 32 {
+			t.Errorf("%s: %.2f bits/value, want at most 32", s.name, c.BitsPerValue())
+		}
+	}
+	src := make([]float32, n)
+	for i := range src {
+		src[i] = float32(i) * 0.25
+	}
+	c := EncodeColumn32(src)
+	for i, v := range c.Decode() {
+		if math.Float32bits(v) != math.Float32bits(src[i]) {
+			t.Fatalf("float32 i*0.25: value %d decoded %v, want %v", i, v, src[i])
+		}
+	}
+	t.Logf("float32 i*0.25: %.2f bits/value", c.BitsPerValue())
+	if c.BitsPerValue() > 32 {
+		t.Errorf("float32 i*0.25: %.2f bits/value, want at most 32", c.BitsPerValue())
+	}
+}

@@ -38,7 +38,7 @@ func TestConcurrentScrapeRecordQuery(t *testing.T) {
 					return
 				default:
 				}
-				c.ServerRequest()
+				c.Add(obs.ServerRequests, 1)
 				c.Observe(obs.HistScan, int64(i%5000))
 				c.VectorDecoded(1024, 100)
 			}

@@ -91,7 +91,7 @@ func TestHistSnapshotDeltaTornBucket(t *testing.T) {
 // position rather than dangling at the end.
 func TestSnapshotJSONSorted(t *testing.T) {
 	var c Collector
-	c.ServerRequest()
+	c.Add(ServerRequests, 1)
 	c.Observe(HistScan, 1234)
 	out := c.Snapshot().JSON(Extra{Name: "columns", JSON: `{"a":1}`})
 	keys := jsonKeys(t, out)
@@ -147,8 +147,8 @@ func jsonKeys(t *testing.T, s string) []string {
 
 func TestWritePrometheus(t *testing.T) {
 	var c Collector
-	c.ServerRequest()
-	c.ServerRequest()
+	c.Add(ServerRequests, 1)
+	c.Add(ServerRequests, 1)
 	c.VectorEncoded(1024, 3, 17)
 	c.Observe(HistAgg, 900)
 	c.Observe(HistAgg, 100)

@@ -11,9 +11,9 @@
 // metrics are disabled. Call sites never guard with `if enabled`; they
 // just call methods on a possibly-nil pointer:
 //
-//	o := obs.Active()          // nil when collection is disabled
+//	o := obs.Active()                    // nil when collection is disabled
 //	...
-//	o.VectorDecoded(n, 0)      // no-op on nil, atomic adds otherwise
+//	o.Add(obs.VectorsSkipped, skipped)   // no-op on nil, one atomic add otherwise
 //
 // All counters are atomics, so a single Collector can be shared by
 // every goroutine of a morsel-parallel scan and read concurrently via
@@ -31,77 +31,171 @@ import (
 // histogram (float64 integers pack at 0..64 bits).
 const MaxBitWidth = 64
 
+// CounterID names one monotonic event counter. The counters table
+// declares each one once, with its metric name and help line; the
+// collector's storage, Snapshot, Reset, Counters (and through it the
+// /metrics JSON, the Prometheus text and the metrics-history schema)
+// and alp.Stats all derive from that table.
+type CounterID int
+
+// The counters, in schema order: Counters, the Prometheus exposition
+// and the metrics-history series (and so ALPM snapshots) list them in
+// this order.
+const (
+	// Encode side.
+	RowGroupsALP CounterID = iota
+	RowGroupsRD
+	VectorsEncoded
+	EncodeExceptions
+	EncodeNs
+	EncodeValues
+
+	// Sampling (first level per row-group, second level per vector, §3.2).
+	SecondStageSkips
+	SecondStageEarlyExits
+	SecondStageTried
+	RDSampledRowGroups
+	RDCutsTried
+	RDDictEntries
+
+	// Decode / scan side.
+	VectorsDecoded
+	VectorsSkipped
+	DecodeNs
+	DecodeValues
+	RangeScans
+	MorselClaims
+	ScanWorkers
+
+	// Encoded-domain predicate pushdown.
+	PushdownVectors
+	PushdownFallbacks
+	SelectedRows
+
+	// Encode/decode pipeline (internal/pipeline).
+	PipelineWorkers
+	PipelineClaims
+	PipelineStalls
+
+	// Column service (internal/server).
+	ServerRequests
+	ServerSheds
+	ServerRefused
+	ServerBytesIn
+	ServerBytesOut
+	ServerScans
+
+	// Selection-aware scan wire format.
+	ScanFramesDense
+	ScanFramesRepacked
+	ScanFramesRaw
+	ScanBytesSaved
+
+	// Scatter-gather coordinator (internal/cluster).
+	ClusterScatters
+	ClusterCalls
+	ClusterFailovers
+	ClusterPartial
+	ClusterStragglers
+	ClusterRebalances
+
+	NumCounters
+)
+
+// counters is the counter table: each counter's stable metric name and
+// its one-line help text.
+var counters = [NumCounters]struct{ name, help string }{
+	RowGroupsALP:     {"row_groups_alp", "row-groups encoded with the decimal scheme"},
+	RowGroupsRD:      {"row_groups_rd", "row-groups that fell back to ALP_rd"},
+	VectorsEncoded:   {"vectors_encoded", "vectors encoded (both schemes)"},
+	EncodeExceptions: {"encode_exceptions", "exception slots written during encode"},
+	EncodeNs:         {"encode_ns", "wall ns spent in row-group encoding"},
+	EncodeValues:     {"encode_values", "values encoded"},
+
+	SecondStageSkips:      {"second_stage_skips", "vectors where sampling was skipped (1 candidate)"},
+	SecondStageEarlyExits: {"second_stage_early_exits", "vectors where the greedy search exited early"},
+	SecondStageTried:      {"second_stage_tried", "candidate combinations evaluated in total"},
+	RDSampledRowGroups:    {"rd_sampled_row_groups", "row-groups that ran ALP_rd sampling"},
+	RDCutsTried:           {"rd_cuts_tried", "ALP_rd cut positions evaluated during sampling"},
+	RDDictEntries:         {"rd_dict_entries", "ALP_rd dictionary entries chosen"},
+
+	VectorsDecoded: {"vectors_decoded", "vectors decompressed (any access path)"},
+	VectorsSkipped: {"vectors_skipped", "vectors skipped by zone-map push-down"},
+	DecodeNs:       {"decode_ns", "wall ns spent decompressing vectors"},
+	DecodeValues:   {"decode_values", "values decompressed"},
+	RangeScans:     {"range_scans", "SumRange scans executed"},
+	MorselClaims:   {"morsel_claims", "partitions claimed by parallel engine scans (a one-worker scan runs inline and counts none)"},
+	ScanWorkers:    {"scan_workers", "worker goroutines launched by parallel engine scans (a one-worker scan runs inline and counts none)"},
+
+	PushdownVectors:   {"pushdown_vectors", "vectors filtered by the fused unpack+compare kernel"},
+	PushdownFallbacks: {"pushdown_fallbacks", "vectors that fell back to decode-then-filter"},
+	SelectedRows:      {"selected_rows", "rows that qualified under a pushed-down predicate"},
+
+	PipelineWorkers: {"pipeline_workers", "workers spawned by the codec pipeline"},
+	PipelineClaims:  {"pipeline_claims", "row-groups claimed by pipeline workers"},
+	PipelineStalls:  {"pipeline_stalls", "submissions that blocked on a full window"},
+
+	ServerRequests: {"server_requests", "HTTP requests admitted by the service"},
+	ServerSheds:    {"server_sheds", "requests shed with 429 by the concurrency limiter"},
+	ServerRefused:  {"server_refused", "requests refused with 503 while draining"},
+	ServerBytesIn:  {"server_bytes_in", "request payload bytes read (ingest)"},
+	ServerBytesOut: {"server_bytes_out", "response payload bytes written"},
+	ServerScans:    {"server_scans", "scan/agg/count requests served"},
+
+	ScanFramesDense:    {"scan_frames_dense", "frames shipped as envelope + bitmap"},
+	ScanFramesRepacked: {"scan_frames_repacked", "frames shipped as re-packed ALP vectors"},
+	ScanFramesRaw:      {"scan_frames_raw", "frames that fell back to raw float64s"},
+	ScanBytesSaved:     {"scan_bytes_saved", "raw-encoding bytes minus actual wire bytes"},
+
+	ClusterScatters:   {"cluster_scatters", "scatter fan-outs executed (one per clustered query)"},
+	ClusterCalls:      {"cluster_backend_calls", "backend calls issued by scatters"},
+	ClusterFailovers:  {"cluster_failovers", "row-group groups re-fetched from a replica"},
+	ClusterPartial:    {"cluster_partial_unavailable", "queries failed typed partial-unavailable"},
+	ClusterStragglers: {"cluster_stragglers", "scatters whose slowest backend took more than twice the fastest"},
+	ClusterRebalances: {"cluster_rebalances", "row-group range moves completed"},
+}
+
+// CounterName returns the stable metric name of id ("vectors_decoded",
+// ...).
+func CounterName(id CounterID) string {
+	if id < 0 || id >= NumCounters {
+		return "unknown"
+	}
+	return counters[id].name
+}
+
+// CounterHelp returns the one-line help text of id.
+func CounterHelp(id CounterID) string {
+	if id < 0 || id >= NumCounters {
+		return ""
+	}
+	return counters[id].help
+}
+
 // Collector accumulates codec metrics on atomic counters. The zero
 // value is ready for use; a nil *Collector is also valid and turns
 // every method into a cheap no-op.
 type Collector struct {
-	// Encode side.
-	rowGroupsALP   atomic.Int64 // row-groups encoded with the decimal scheme
-	rowGroupsRD    atomic.Int64 // row-groups that fell back to ALP_rd
-	vectorsEncoded atomic.Int64 // vectors encoded (both schemes)
-	encExceptions  atomic.Int64 // exception slots written during encode
-	encNs          atomic.Int64 // wall ns spent in row-group encoding
-	encValues      atomic.Int64 // values encoded
-
-	// Second-stage sampling (per-vector (e,f) choice, §3.2).
-	secondStageSkips atomic.Int64 // vectors where sampling was skipped (1 candidate)
-	secondStageEarly atomic.Int64 // vectors where the greedy search exited early
-	secondStageTried atomic.Int64 // candidate combinations evaluated in total
-	rdCutsTried      atomic.Int64 // ALP_rd cut positions evaluated during sampling
-	rdDictEntries    atomic.Int64 // ALP_rd dictionary entries chosen
-	bitWidthHist     [MaxBitWidth + 1]atomic.Int64
-	rdSampledGroups  atomic.Int64 // row-groups that ran ALP_rd sampling
-
-	// Decode / scan side.
-	vectorsDecoded atomic.Int64 // vectors decompressed (any access path)
-	vectorsSkipped atomic.Int64 // vectors skipped by zone-map push-down
-	decNs          atomic.Int64 // wall ns spent decompressing vectors
-	decValues      atomic.Int64 // values decompressed
-	rangeScans     atomic.Int64 // SumRange scans executed
-	morselClaims   atomic.Int64 // partitions claimed by scan workers
-	scanWorkers    atomic.Int64 // worker goroutines launched by the engine
-
-	// Encoded-domain predicate pushdown.
-	pushdownVectors   atomic.Int64 // vectors filtered by the fused unpack+compare kernel
-	pushdownFallbacks atomic.Int64 // vectors that fell back to decode-then-filter
-	selectedRows      atomic.Int64 // rows that qualified under a pushed-down predicate
-
-	// Encode/decode pipeline (internal/pipeline worker pool).
-	pipelineWorkers atomic.Int64 // workers spawned by the codec pipeline
-	pipelineClaims  atomic.Int64 // row-groups claimed by pipeline workers
-	pipelineStalls  atomic.Int64 // submissions that blocked on a full window
-
-	// Column service (internal/server).
-	serverRequests atomic.Int64 // HTTP requests admitted by the service
-	serverSheds    atomic.Int64 // requests shed with 429 by the concurrency limiter
-	serverRefused  atomic.Int64 // requests refused with 503 while draining
-	serverBytesIn  atomic.Int64 // request payload bytes read (ingest)
-	serverBytesOut atomic.Int64 // response payload bytes written
-	serverScans    atomic.Int64 // scan/agg/count requests served
-
-	// Selection-aware scan wire format.
-	scanFramesDense    atomic.Int64 // frames shipped as envelope + bitmap
-	scanFramesRepacked atomic.Int64 // frames shipped as re-packed ALP vectors
-	scanFramesRaw      atomic.Int64 // frames that fell back to raw float64s
-	scanBytesSaved     atomic.Int64 // raw-encoding bytes minus actual wire bytes
-
-	// Scatter-gather coordinator (internal/cluster).
-	clusterScatters   atomic.Int64 // scatter fan-outs executed (one per clustered query)
-	clusterCalls      atomic.Int64 // backend calls issued by scatters
-	clusterFailovers  atomic.Int64 // row-group groups re-fetched from a replica
-	clusterPartial    atomic.Int64 // queries failed typed partial-unavailable
-	clusterStragglers atomic.Int64 // scatters whose slowest backend dominated (see ClusterStraggler)
-	clusterRebalances atomic.Int64 // row-group range moves completed
+	counters     [NumCounters]atomic.Int64
+	bitWidthHist [MaxBitWidth + 1]atomic.Int64
 
 	// Latency histograms: per server endpoint and per engine stage.
 	// Durations live here (mergeable distributions with quantiles);
-	// the counters above stay monotonic event counts. The old
-	// server_scan_ns aggregate was retired in favor of the endpoint
-	// histograms, which cover every endpoint symmetrically.
+	// the counters above stay monotonic event counts.
 	hists [NumHists]Histogram
 }
 
-// ---- encode-side hooks ----
+// Add adds n to counter id. No-op on a nil collector. It is small
+// enough to inline, so at a constant id it compiles to the nil check
+// and one atomic add.
+func (c *Collector) Add(id CounterID, n int64) {
+	if c == nil {
+		return
+	}
+	c.counters[id].Add(n)
+}
+
+// ---- hooks that touch several counters or a histogram ----
 
 // RowGroup records the scheme chosen for one row-group.
 func (c *Collector) RowGroup(usedRD bool) {
@@ -109,9 +203,9 @@ func (c *Collector) RowGroup(usedRD bool) {
 		return
 	}
 	if usedRD {
-		c.rowGroupsRD.Add(1)
+		c.counters[RowGroupsRD].Add(1)
 	} else {
-		c.rowGroupsALP.Add(1)
+		c.counters[RowGroupsALP].Add(1)
 	}
 }
 
@@ -123,8 +217,8 @@ func (c *Collector) VectorEncoded(values, exceptions int, width uint) {
 	if c == nil {
 		return
 	}
-	c.vectorsEncoded.Add(1)
-	c.encExceptions.Add(int64(exceptions))
+	c.counters[VectorsEncoded].Add(1)
+	c.counters[EncodeExceptions].Add(int64(exceptions))
 	if width <= MaxBitWidth {
 		c.bitWidthHist[width].Add(1)
 	}
@@ -139,17 +233,8 @@ func (c *Collector) EncodeTime(ns int64, values int) {
 	if c == nil {
 		return
 	}
-	c.encNs.Add(ns)
-	c.encValues.Add(int64(values))
-}
-
-// SecondStageSkipped records a vector whose (e,f) choice needed no
-// sampling because first-level sampling produced a single candidate.
-func (c *Collector) SecondStageSkipped() {
-	if c == nil {
-		return
-	}
-	c.secondStageSkips.Add(1)
+	c.counters[EncodeNs].Add(ns)
+	c.counters[EncodeValues].Add(int64(values))
 }
 
 // SecondStage records one second-level sampling run: how many candidate
@@ -159,9 +244,9 @@ func (c *Collector) SecondStage(tried int, early bool) {
 	if c == nil {
 		return
 	}
-	c.secondStageTried.Add(int64(tried))
+	c.counters[SecondStageTried].Add(int64(tried))
 	if early {
-		c.secondStageEarly.Add(1)
+		c.counters[SecondStageEarlyExits].Add(1)
 	}
 }
 
@@ -171,12 +256,10 @@ func (c *Collector) RDSampled(cutsTried, dictEntries int) {
 	if c == nil {
 		return
 	}
-	c.rdSampledGroups.Add(1)
-	c.rdCutsTried.Add(int64(cutsTried))
-	c.rdDictEntries.Add(int64(dictEntries))
+	c.counters[RDSampledRowGroups].Add(1)
+	c.counters[RDCutsTried].Add(int64(cutsTried))
+	c.counters[RDDictEntries].Add(int64(dictEntries))
 }
-
-// ---- decode/scan-side hooks ----
 
 // VectorDecoded records one decompressed vector of n values taking ns
 // wall time (pass 0 ns when the caller does not time the decode).
@@ -184,54 +267,9 @@ func (c *Collector) VectorDecoded(n int, ns int64) {
 	if c == nil {
 		return
 	}
-	c.vectorsDecoded.Add(1)
-	c.decValues.Add(int64(n))
-	c.decNs.Add(ns)
-}
-
-// VectorsSkipped records n vectors pruned by zone-map push-down without
-// touching their bytes.
-func (c *Collector) VectorsSkipped(n int) {
-	if c == nil {
-		return
-	}
-	c.vectorsSkipped.Add(int64(n))
-}
-
-// RangeScan records one zone-map range scan (SumRange).
-func (c *Collector) RangeScan() {
-	if c == nil {
-		return
-	}
-	c.rangeScans.Add(1)
-}
-
-// PushdownVector records one vector whose range predicate was
-// evaluated in the encoded-integer domain by the fused unpack+compare
-// kernel, without decoding to floats.
-func (c *Collector) PushdownVector() {
-	if c == nil {
-		return
-	}
-	c.pushdownVectors.Add(1)
-}
-
-// PushdownFallback records one vector that could not be filtered in
-// the encoded domain (ALP_rd or baseline partitions) and was decoded
-// and filtered in the float domain instead.
-func (c *Collector) PushdownFallback() {
-	if c == nil {
-		return
-	}
-	c.pushdownFallbacks.Add(1)
-}
-
-// RowsSelected records n rows qualifying under a filtered scan.
-func (c *Collector) RowsSelected(n int) {
-	if c == nil {
-		return
-	}
-	c.selectedRows.Add(int64(n))
+	c.counters[VectorsDecoded].Add(1)
+	c.counters[DecodeValues].Add(int64(n))
+	c.counters[DecodeNs].Add(ns)
 }
 
 // ScanBatch accumulates the per-vector pushdown counters of one scan
@@ -261,177 +299,11 @@ func (b *ScanBatch) Vector(count int, pushdown bool) {
 // batch is still zeroed) or an empty batch.
 func (c *Collector) FlushScanBatch(b *ScanBatch) {
 	if c != nil {
-		if b.Pushdown != 0 {
-			c.pushdownVectors.Add(b.Pushdown)
-		}
-		if b.Fallbacks != 0 {
-			c.pushdownFallbacks.Add(b.Fallbacks)
-		}
-		if b.Rows != 0 {
-			c.selectedRows.Add(b.Rows)
-		}
+		c.addNonZero(PushdownVectors, b.Pushdown)
+		c.addNonZero(PushdownFallbacks, b.Fallbacks)
+		c.addNonZero(SelectedRows, b.Rows)
 	}
 	*b = ScanBatch{}
-}
-
-// MorselClaim records one partition claimed by a scan worker.
-func (c *Collector) MorselClaim() {
-	if c == nil {
-		return
-	}
-	c.morselClaims.Add(1)
-}
-
-// ScanWorkers records n worker goroutines launched for a scan.
-func (c *Collector) ScanWorkers(n int) {
-	if c == nil {
-		return
-	}
-	c.scanWorkers.Add(int64(n))
-}
-
-// ---- pipeline hooks ----
-
-// PipelineWorkers records n worker goroutines spawned by the
-// encode/decode pipeline.
-func (c *Collector) PipelineWorkers(n int) {
-	if c == nil {
-		return
-	}
-	c.pipelineWorkers.Add(int64(n))
-}
-
-// PipelineClaim records one row-group claimed by a pipeline worker.
-func (c *Collector) PipelineClaim() {
-	if c == nil {
-		return
-	}
-	c.pipelineClaims.Add(1)
-}
-
-// PipelineStall records one submission that found the bounded in-flight
-// window full and had to block — back-pressure from encode workers
-// slower than the producer.
-func (c *Collector) PipelineStall() {
-	if c == nil {
-		return
-	}
-	c.pipelineStalls.Add(1)
-}
-
-// ---- column-service hooks ----
-
-// ServerRequest records one HTTP request admitted past the service's
-// concurrency limiter.
-func (c *Collector) ServerRequest() {
-	if c == nil {
-		return
-	}
-	c.serverRequests.Add(1)
-}
-
-// ServerShed records one request shed with 429 because the concurrency
-// limiter was saturated.
-func (c *Collector) ServerShed() {
-	if c == nil {
-		return
-	}
-	c.serverSheds.Add(1)
-}
-
-// ServerRefused records one request refused with 503 while the service
-// was draining for shutdown.
-func (c *Collector) ServerRefused() {
-	if c == nil {
-		return
-	}
-	c.serverRefused.Add(1)
-}
-
-// ServerBytesIn records n request payload bytes read by the service.
-func (c *Collector) ServerBytesIn(n int64) {
-	if c == nil {
-		return
-	}
-	c.serverBytesIn.Add(n)
-}
-
-// ServerBytesOut records n response payload bytes written by the
-// service.
-func (c *Collector) ServerBytesOut(n int64) {
-	if c == nil {
-		return
-	}
-	c.serverBytesOut.Add(n)
-}
-
-// ServerScanned records one served scan/agg/count request; its
-// duration lands in the endpoint's latency histogram (Observe with
-// HistAgg/HistCount/HistScan).
-func (c *Collector) ServerScanned() {
-	if c == nil {
-		return
-	}
-	c.serverScans.Add(1)
-}
-
-// ---- scatter-gather coordinator hooks ----
-
-// ClusterScatter records one clustered query's fan-out: the number of
-// distinct backends the query scattered to lands in the
-// HistClusterFanout width histogram.
-func (c *Collector) ClusterScatter(fanout int) {
-	if c == nil {
-		return
-	}
-	c.clusterScatters.Add(1)
-	c.hists[HistClusterFanout].Record(int64(fanout))
-}
-
-// ClusterCall records one backend call issued by a scatter.
-func (c *Collector) ClusterCall() {
-	if c == nil {
-		return
-	}
-	c.clusterCalls.Add(1)
-}
-
-// ClusterFailover records a group of row-groups re-fetched from a
-// replica after their chosen backend failed.
-func (c *Collector) ClusterFailover() {
-	if c == nil {
-		return
-	}
-	c.clusterFailovers.Add(1)
-}
-
-// ClusterPartialUnavailable records a clustered query that failed with
-// the typed partial-unavailability error: some row-groups had no
-// answering replica, and the coordinator refused to serve a silent
-// partial result.
-func (c *Collector) ClusterPartialUnavailable() {
-	if c == nil {
-		return
-	}
-	c.clusterPartial.Add(1)
-}
-
-// ClusterStraggler records a scatter whose slowest backend took more
-// than twice the fastest — the signal for a shard that drags every
-// fan-out behind it.
-func (c *Collector) ClusterStraggler() {
-	if c == nil {
-		return
-	}
-	c.clusterStragglers.Add(1)
-}
-
-// ClusterRebalance records one completed row-group range move.
-func (c *Collector) ClusterRebalance() {
-	if c == nil {
-		return
-	}
-	c.clusterRebalances.Add(1)
 }
 
 // ScanFrames records one scan request's wire-frame mix: how many frames
@@ -444,75 +316,39 @@ func (c *Collector) ScanFrames(dense, repacked, raw, bytesSaved int64) {
 	if c == nil {
 		return
 	}
-	if dense != 0 {
-		c.scanFramesDense.Add(dense)
+	c.addNonZero(ScanFramesDense, dense)
+	c.addNonZero(ScanFramesRepacked, repacked)
+	c.addNonZero(ScanFramesRaw, raw)
+	c.addNonZero(ScanBytesSaved, bytesSaved)
+}
+
+// addNonZero adds n to counter id unless n is zero, sparing the batched
+// flushes an atomic add for every counter they did not move.
+func (c *Collector) addNonZero(id CounterID, n int64) {
+	if n != 0 {
+		c.counters[id].Add(n)
 	}
-	if repacked != 0 {
-		c.scanFramesRepacked.Add(repacked)
+}
+
+// ClusterScatter records one clustered query's fan-out: the number of
+// distinct backends the query scattered to lands in the
+// HistClusterFanout width histogram.
+func (c *Collector) ClusterScatter(fanout int) {
+	if c == nil {
+		return
 	}
-	if raw != 0 {
-		c.scanFramesRaw.Add(raw)
-	}
-	if bytesSaved != 0 {
-		c.scanBytesSaved.Add(bytesSaved)
-	}
+	c.counters[ClusterScatters].Add(1)
+	c.hists[HistClusterFanout].Record(int64(fanout))
 }
 
 // ---- snapshot ----
 
 // Snapshot is a point-in-time copy of every counter, safe to read,
-// compare and serialize. Field names are stable: they are the public
-// metric names surfaced through alp.Stats and expvar.
+// compare and serialize.
 type Snapshot struct {
-	RowGroupsALP     int64
-	RowGroupsRD      int64
-	VectorsEncoded   int64
-	EncodeExceptions int64
-	EncodeNs         int64
-	EncodeValues     int64
-
-	SecondStageSkips      int64
-	SecondStageEarlyExits int64
-	SecondStageTried      int64
-	RDSampledRowGroups    int64
-	RDCutsTried           int64
-	RDDictEntries         int64
-	BitWidthHist          [MaxBitWidth + 1]int64
-
-	VectorsDecoded int64
-	VectorsSkipped int64
-	DecodeNs       int64
-	DecodeValues   int64
-	RangeScans     int64
-	MorselClaims   int64
-	ScanWorkers    int64
-
-	PushdownVectors   int64
-	PushdownFallbacks int64
-	SelectedRows      int64
-
-	PipelineWorkers int64
-	PipelineClaims  int64
-	PipelineStalls  int64
-
-	ServerRequests int64
-	ServerSheds    int64
-	ServerRefused  int64
-	ServerBytesIn  int64
-	ServerBytesOut int64
-	ServerScans    int64
-
-	ScanFramesDense    int64
-	ScanFramesRepacked int64
-	ScanFramesRaw      int64
-	ScanBytesSaved     int64
-
-	ClusterScatters   int64
-	ClusterCalls      int64
-	ClusterFailovers  int64
-	ClusterPartial    int64
-	ClusterStragglers int64
-	ClusterRebalances int64
+	// Counter[id] is the value of counter id (see CounterID).
+	Counter      [NumCounters]int64
+	BitWidthHist [MaxBitWidth + 1]int64
 
 	// Hists[id] is the snapshot of latency histogram id (see HistID).
 	Hists [NumHists]HistSnapshot
@@ -524,50 +360,12 @@ func (c *Collector) Snapshot() Snapshot {
 	if c == nil {
 		return s
 	}
-	s.RowGroupsALP = c.rowGroupsALP.Load()
-	s.RowGroupsRD = c.rowGroupsRD.Load()
-	s.VectorsEncoded = c.vectorsEncoded.Load()
-	s.EncodeExceptions = c.encExceptions.Load()
-	s.EncodeNs = c.encNs.Load()
-	s.EncodeValues = c.encValues.Load()
-	s.SecondStageSkips = c.secondStageSkips.Load()
-	s.SecondStageEarlyExits = c.secondStageEarly.Load()
-	s.SecondStageTried = c.secondStageTried.Load()
-	s.RDSampledRowGroups = c.rdSampledGroups.Load()
-	s.RDCutsTried = c.rdCutsTried.Load()
-	s.RDDictEntries = c.rdDictEntries.Load()
+	for i := range s.Counter {
+		s.Counter[i] = c.counters[i].Load()
+	}
 	for i := range s.BitWidthHist {
 		s.BitWidthHist[i] = c.bitWidthHist[i].Load()
 	}
-	s.VectorsDecoded = c.vectorsDecoded.Load()
-	s.VectorsSkipped = c.vectorsSkipped.Load()
-	s.DecodeNs = c.decNs.Load()
-	s.DecodeValues = c.decValues.Load()
-	s.RangeScans = c.rangeScans.Load()
-	s.MorselClaims = c.morselClaims.Load()
-	s.ScanWorkers = c.scanWorkers.Load()
-	s.PushdownVectors = c.pushdownVectors.Load()
-	s.PushdownFallbacks = c.pushdownFallbacks.Load()
-	s.SelectedRows = c.selectedRows.Load()
-	s.PipelineWorkers = c.pipelineWorkers.Load()
-	s.PipelineClaims = c.pipelineClaims.Load()
-	s.PipelineStalls = c.pipelineStalls.Load()
-	s.ServerRequests = c.serverRequests.Load()
-	s.ServerSheds = c.serverSheds.Load()
-	s.ServerRefused = c.serverRefused.Load()
-	s.ServerBytesIn = c.serverBytesIn.Load()
-	s.ServerBytesOut = c.serverBytesOut.Load()
-	s.ServerScans = c.serverScans.Load()
-	s.ScanFramesDense = c.scanFramesDense.Load()
-	s.ScanFramesRepacked = c.scanFramesRepacked.Load()
-	s.ScanFramesRaw = c.scanFramesRaw.Load()
-	s.ScanBytesSaved = c.scanBytesSaved.Load()
-	s.ClusterScatters = c.clusterScatters.Load()
-	s.ClusterCalls = c.clusterCalls.Load()
-	s.ClusterFailovers = c.clusterFailovers.Load()
-	s.ClusterPartial = c.clusterPartial.Load()
-	s.ClusterStragglers = c.clusterStragglers.Load()
-	s.ClusterRebalances = c.clusterRebalances.Load()
 	for i := range s.Hists {
 		s.Hists[i] = c.hists[i].Snapshot()
 	}
@@ -579,81 +377,15 @@ func (c *Collector) Reset() {
 	if c == nil {
 		return
 	}
-	c.rowGroupsALP.Store(0)
-	c.rowGroupsRD.Store(0)
-	c.vectorsEncoded.Store(0)
-	c.encExceptions.Store(0)
-	c.encNs.Store(0)
-	c.encValues.Store(0)
-	c.secondStageSkips.Store(0)
-	c.secondStageEarly.Store(0)
-	c.secondStageTried.Store(0)
-	c.rdSampledGroups.Store(0)
-	c.rdCutsTried.Store(0)
-	c.rdDictEntries.Store(0)
+	for i := range c.counters {
+		c.counters[i].Store(0)
+	}
 	for i := range c.bitWidthHist {
 		c.bitWidthHist[i].Store(0)
 	}
-	c.vectorsDecoded.Store(0)
-	c.vectorsSkipped.Store(0)
-	c.decNs.Store(0)
-	c.decValues.Store(0)
-	c.rangeScans.Store(0)
-	c.morselClaims.Store(0)
-	c.scanWorkers.Store(0)
-	c.pushdownVectors.Store(0)
-	c.pushdownFallbacks.Store(0)
-	c.selectedRows.Store(0)
-	c.pipelineWorkers.Store(0)
-	c.pipelineClaims.Store(0)
-	c.pipelineStalls.Store(0)
-	c.serverRequests.Store(0)
-	c.serverSheds.Store(0)
-	c.serverRefused.Store(0)
-	c.serverBytesIn.Store(0)
-	c.serverBytesOut.Store(0)
-	c.serverScans.Store(0)
-	c.scanFramesDense.Store(0)
-	c.scanFramesRepacked.Store(0)
-	c.scanFramesRaw.Store(0)
-	c.scanBytesSaved.Store(0)
-	c.clusterScatters.Store(0)
-	c.clusterCalls.Store(0)
-	c.clusterFailovers.Store(0)
-	c.clusterPartial.Store(0)
-	c.clusterStragglers.Store(0)
-	c.clusterRebalances.Store(0)
 	for i := range c.hists {
 		c.hists[i].reset()
 	}
-}
-
-// EncodeNsPerValue returns the average encode cost in ns/value.
-func (s Snapshot) EncodeNsPerValue() float64 {
-	if s.EncodeValues == 0 {
-		return 0
-	}
-	return float64(s.EncodeNs) / float64(s.EncodeValues)
-}
-
-// DecodeNsPerValue returns the average decode cost in ns/value.
-func (s Snapshot) DecodeNsPerValue() float64 {
-	if s.DecodeValues == 0 {
-		return 0
-	}
-	return float64(s.DecodeNs) / float64(s.DecodeValues)
-}
-
-// SkipRate returns the fraction of scan vectors pruned by zone maps,
-// out of those pruned or decompressed. A vector a filtered scan answers
-// in the encoded domain without decompressing it counts in neither, so
-// a selective SumRange or AggRange can report a rate of 1.
-func (s Snapshot) SkipRate() float64 {
-	total := s.VectorsDecoded + s.VectorsSkipped
-	if total == 0 {
-		return 0
-	}
-	return float64(s.VectorsSkipped) / float64(total)
 }
 
 // Metric is one flat metric: a stable name and its current value. The
@@ -664,55 +396,16 @@ type Metric struct {
 	Value int64
 }
 
-// Counters returns every scalar counter of the snapshot as a flat
-// name/value list, in declaration order. This is the single source of
-// truth for the counter schema: the JSON rendering, the Prometheus
+// Counters returns every counter of the snapshot as a flat name/value
+// list, in CounterID order. The JSON rendering, the Prometheus
 // exposition and the metrics-history recorder all derive their key
-// sets from it, so a counter added here shows up everywhere.
+// sets from it.
 func (s Snapshot) Counters() []Metric {
-	return []Metric{
-		{"row_groups_alp", s.RowGroupsALP},
-		{"row_groups_rd", s.RowGroupsRD},
-		{"vectors_encoded", s.VectorsEncoded},
-		{"encode_exceptions", s.EncodeExceptions},
-		{"encode_ns", s.EncodeNs},
-		{"encode_values", s.EncodeValues},
-		{"second_stage_skips", s.SecondStageSkips},
-		{"second_stage_early_exits", s.SecondStageEarlyExits},
-		{"second_stage_tried", s.SecondStageTried},
-		{"rd_sampled_row_groups", s.RDSampledRowGroups},
-		{"rd_cuts_tried", s.RDCutsTried},
-		{"rd_dict_entries", s.RDDictEntries},
-		{"vectors_decoded", s.VectorsDecoded},
-		{"vectors_skipped", s.VectorsSkipped},
-		{"decode_ns", s.DecodeNs},
-		{"decode_values", s.DecodeValues},
-		{"range_scans", s.RangeScans},
-		{"morsel_claims", s.MorselClaims},
-		{"scan_workers", s.ScanWorkers},
-		{"pushdown_vectors", s.PushdownVectors},
-		{"pushdown_fallbacks", s.PushdownFallbacks},
-		{"selected_rows", s.SelectedRows},
-		{"pipeline_workers", s.PipelineWorkers},
-		{"pipeline_claims", s.PipelineClaims},
-		{"pipeline_stalls", s.PipelineStalls},
-		{"server_requests", s.ServerRequests},
-		{"server_sheds", s.ServerSheds},
-		{"server_refused", s.ServerRefused},
-		{"server_bytes_in", s.ServerBytesIn},
-		{"server_bytes_out", s.ServerBytesOut},
-		{"server_scans", s.ServerScans},
-		{"scan_frames_dense", s.ScanFramesDense},
-		{"scan_frames_repacked", s.ScanFramesRepacked},
-		{"scan_frames_raw", s.ScanFramesRaw},
-		{"scan_bytes_saved", s.ScanBytesSaved},
-		{"cluster_scatters", s.ClusterScatters},
-		{"cluster_backend_calls", s.ClusterCalls},
-		{"cluster_failovers", s.ClusterFailovers},
-		{"cluster_partial_unavailable", s.ClusterPartial},
-		{"cluster_stragglers", s.ClusterStragglers},
-		{"cluster_rebalances", s.ClusterRebalances},
+	out := make([]Metric, NumCounters)
+	for id := range out {
+		out[id] = Metric{counters[id].name, s.Counter[id]}
 	}
+	return out
 }
 
 // CounterDelta returns the increase of a monotonic counter between two

@@ -15,17 +15,15 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	c.RowGroup(false)
 	c.VectorEncoded(1024, 3, 17)
 	c.EncodeTime(100, 1024)
-	c.SecondStageSkipped()
 	c.SecondStage(3, true)
 	c.RDSampled(16, 8)
 	c.VectorDecoded(1024, 50)
-	c.VectorsSkipped(4)
-	c.RangeScan()
-	c.MorselClaim()
-	c.ScanWorkers(8)
-	c.PipelineWorkers(4)
-	c.PipelineClaim()
-	c.PipelineStall()
+	c.FlushScanBatch(&ScanBatch{Pushdown: 1, Rows: 3})
+	c.ScanFrames(1, 2, 3, 4)
+	c.ClusterScatter(2)
+	for id := CounterID(0); id < NumCounters; id++ {
+		c.Add(id, 1)
+	}
 	c.Reset()
 	if s := c.Snapshot(); s != (Snapshot{}) {
 		t.Fatalf("nil collector snapshot not zero: %+v", s)
@@ -41,29 +39,29 @@ func TestCollectorCounts(t *testing.T) {
 	c.VectorEncoded(1000, 0, 17)
 	c.VectorEncoded(1024, 5, WidthNone) // RD vector: no histogram entry
 	c.EncodeTime(500, 3048)
-	c.SecondStageSkipped()
+	c.Add(SecondStageSkips, 1)
 	c.SecondStage(3, true)
 	c.SecondStage(5, false)
 	c.RDSampled(16, 8)
 	c.VectorDecoded(1024, 40)
 	c.VectorDecoded(512, 20)
-	c.VectorsSkipped(6)
-	c.RangeScan()
-	c.MorselClaim()
-	c.MorselClaim()
-	c.ScanWorkers(4)
-	c.PipelineWorkers(2)
-	c.PipelineClaim()
-	c.PipelineClaim()
-	c.PipelineClaim()
-	c.PipelineStall()
+	c.Add(VectorsSkipped, 6)
+	c.Add(RangeScans, 1)
+	c.Add(MorselClaims, 1)
+	c.Add(MorselClaims, 1)
+	c.Add(ScanWorkers, 4)
+	c.Add(PipelineWorkers, 2)
+	c.Add(PipelineClaims, 1)
+	c.Add(PipelineClaims, 1)
+	c.Add(PipelineClaims, 1)
+	c.Add(PipelineStalls, 1)
 
 	s := c.Snapshot()
-	if s.RowGroupsALP != 2 || s.RowGroupsRD != 1 {
-		t.Errorf("row groups: ALP %d RD %d", s.RowGroupsALP, s.RowGroupsRD)
+	if s.Counter[RowGroupsALP] != 2 || s.Counter[RowGroupsRD] != 1 {
+		t.Errorf("row groups: ALP %d RD %d", s.Counter[RowGroupsALP], s.Counter[RowGroupsRD])
 	}
-	if s.VectorsEncoded != 3 || s.EncodeExceptions != 7 {
-		t.Errorf("vectors encoded %d exceptions %d", s.VectorsEncoded, s.EncodeExceptions)
+	if s.Counter[VectorsEncoded] != 3 || s.Counter[EncodeExceptions] != 7 {
+		t.Errorf("vectors encoded %d exceptions %d", s.Counter[VectorsEncoded], s.Counter[EncodeExceptions])
 	}
 	if s.BitWidthHist[17] != 2 {
 		t.Errorf("hist[17] = %d, want 2", s.BitWidthHist[17])
@@ -73,39 +71,29 @@ func TestCollectorCounts(t *testing.T) {
 			t.Errorf("hist[%d] = %d, want 0", w, n)
 		}
 	}
-	if s.EncodeNs != 500 || s.EncodeValues != 3048 {
-		t.Errorf("encode time %d/%d", s.EncodeNs, s.EncodeValues)
+	if s.Counter[EncodeNs] != 500 || s.Counter[EncodeValues] != 3048 {
+		t.Errorf("encode time %d/%d", s.Counter[EncodeNs], s.Counter[EncodeValues])
 	}
-	if s.SecondStageSkips != 1 || s.SecondStageEarlyExits != 1 || s.SecondStageTried != 8 {
+	if s.Counter[SecondStageSkips] != 1 || s.Counter[SecondStageEarlyExits] != 1 || s.Counter[SecondStageTried] != 8 {
 		t.Errorf("second stage: skips %d early %d tried %d",
-			s.SecondStageSkips, s.SecondStageEarlyExits, s.SecondStageTried)
+			s.Counter[SecondStageSkips], s.Counter[SecondStageEarlyExits], s.Counter[SecondStageTried])
 	}
-	if s.RDSampledRowGroups != 1 || s.RDCutsTried != 16 || s.RDDictEntries != 8 {
+	if s.Counter[RDSampledRowGroups] != 1 || s.Counter[RDCutsTried] != 16 || s.Counter[RDDictEntries] != 8 {
 		t.Errorf("rd sampling: %d groups %d cuts %d dict",
-			s.RDSampledRowGroups, s.RDCutsTried, s.RDDictEntries)
+			s.Counter[RDSampledRowGroups], s.Counter[RDCutsTried], s.Counter[RDDictEntries])
 	}
-	if s.VectorsDecoded != 2 || s.DecodeValues != 1536 || s.DecodeNs != 60 {
-		t.Errorf("decode: %d vectors %d values %d ns", s.VectorsDecoded, s.DecodeValues, s.DecodeNs)
+	if s.Counter[VectorsDecoded] != 2 || s.Counter[DecodeValues] != 1536 || s.Counter[DecodeNs] != 60 {
+		t.Errorf("decode: %d vectors %d values %d ns", s.Counter[VectorsDecoded], s.Counter[DecodeValues], s.Counter[DecodeNs])
 	}
-	if s.VectorsSkipped != 6 || s.RangeScans != 1 {
-		t.Errorf("scan: %d skipped %d scans", s.VectorsSkipped, s.RangeScans)
+	if s.Counter[VectorsSkipped] != 6 || s.Counter[RangeScans] != 1 {
+		t.Errorf("scan: %d skipped %d scans", s.Counter[VectorsSkipped], s.Counter[RangeScans])
 	}
-	if s.MorselClaims != 2 || s.ScanWorkers != 4 {
-		t.Errorf("engine: %d claims %d workers", s.MorselClaims, s.ScanWorkers)
+	if s.Counter[MorselClaims] != 2 || s.Counter[ScanWorkers] != 4 {
+		t.Errorf("engine: %d claims %d workers", s.Counter[MorselClaims], s.Counter[ScanWorkers])
 	}
-	if s.PipelineWorkers != 2 || s.PipelineClaims != 3 || s.PipelineStalls != 1 {
+	if s.Counter[PipelineWorkers] != 2 || s.Counter[PipelineClaims] != 3 || s.Counter[PipelineStalls] != 1 {
 		t.Errorf("pipeline: %d workers %d claims %d stalls",
-			s.PipelineWorkers, s.PipelineClaims, s.PipelineStalls)
-	}
-
-	if got := s.EncodeNsPerValue(); got != 500.0/3048.0 {
-		t.Errorf("EncodeNsPerValue = %v", got)
-	}
-	if got := s.DecodeNsPerValue(); got != 60.0/1536.0 {
-		t.Errorf("DecodeNsPerValue = %v", got)
-	}
-	if got := s.SkipRate(); got != 6.0/8.0 {
-		t.Errorf("SkipRate = %v", got)
+			s.Counter[PipelineWorkers], s.Counter[PipelineClaims], s.Counter[PipelineStalls])
 	}
 
 	c.Reset()
@@ -167,15 +155,15 @@ func TestConcurrentCounting(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.VectorDecoded(1024, 1)
-				c.MorselClaim()
+				c.Add(MorselClaims, 1)
 				c.VectorEncoded(1024, 1, 12)
 			}
 		}()
 	}
 	wg.Wait()
 	s := c.Snapshot()
-	if s.VectorsDecoded != workers*per || s.MorselClaims != workers*per ||
-		s.VectorsEncoded != workers*per || s.BitWidthHist[12] != workers*per {
+	if s.Counter[VectorsDecoded] != workers*per || s.Counter[MorselClaims] != workers*per ||
+		s.Counter[VectorsEncoded] != workers*per || s.BitWidthHist[12] != workers*per {
 		t.Fatalf("lost updates: %+v", s)
 	}
 }

@@ -1,11 +1,12 @@
 // Prometheus/OpenMetrics text exposition of the collector snapshot, so
 // standard scrapers consume alpserved's telemetry without the JSON
-// shim. Every metric is prefixed "alp_"; counters render as themselves,
-// the log2 latency histograms render as native Prometheus histograms
-// with cumulative _bucket/_sum/_count series (bucket bounds in
-// nanoseconds — the metric names carry the _ns suffix so the unit is
-// explicit), and the bit-width histogram renders as a labeled counter
-// family. Hand-rolled like the JSON path: no client_golang dependency.
+// shim. Every metric is prefixed "alp_"; counters render as themselves
+// under their table's help line, the log2 latency histograms render as
+// native Prometheus histograms with cumulative _bucket/_sum/_count
+// series (bucket bounds in nanoseconds — the metric names carry the _ns
+// suffix so the unit is explicit), and the bit-width histogram renders
+// as a labeled counter family. Hand-rolled like the JSON path: no
+// client_golang dependency.
 package obs
 
 import (
@@ -27,8 +28,9 @@ const promPrefix = "alp_"
 // latency histograms.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
-	for _, c := range s.Counters() {
-		fmt.Fprintf(&b, "# TYPE %s%s counter\n%s%s %d\n", promPrefix, c.Name, promPrefix, c.Name, c.Value)
+	for id, c := range s.Counters() {
+		name := promPrefix + c.Name
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, counters[id].help, name, name, c.Value)
 	}
 	fmt.Fprintf(&b, "# TYPE %sbit_width_vectors counter\n", promPrefix)
 	for width, n := range s.BitWidthHist {

@@ -8,11 +8,10 @@
 // Two primitives cover the codec's shapes of parallelism:
 //
 //   - Run is the morsel-style scheduler for fully materialized inputs
-//     (Encode, Compress, Decode, Values): workers atomically claim the
-//     next row-group index — the same atomic-claim pattern the scan
-//     engine uses for partitions — and write results into
-//     caller-preallocated, index-addressed storage, so output is
-//     deterministic and byte-identical to the serial path.
+//     (Encode, Compress, Decode, Values, and the scan engine's
+//     partitions): workers atomically claim the next index and write
+//     results into caller-preallocated, index-addressed storage, so
+//     output is deterministic and byte-identical to the serial path.
 //
 //   - Pool is the bounded streaming pool for incremental producers
 //     (Writer): jobs are submitted one row-group at a time and results
@@ -47,17 +46,18 @@ func Workers(w int) int {
 // clamped to n). Workers claim item indices with an atomic counter, so
 // any worker may process any item; the worker argument (0 <=
 // worker < effective workers) lets callers keep per-worker scratch
-// state. With one effective worker Run executes inline, spawning
-// nothing — the serial paths pay no scheduling cost.
+// state. With one effective worker Run executes inline, spawning and
+// counting nothing — the serial paths pay no scheduling cost. A
+// parallel run adds its worker count to counter workersID and one to
+// claimsID per item claimed.
 //
-// Run returns only when every item has been processed. Determinism is
+// Run is the one atomic-claim loop: the codec passes PipelineWorkers
+// and PipelineClaims, the scan engine ScanWorkers and MorselClaims.
+// It returns only when every item has been processed. Determinism is
 // the caller's contract: fn must write its result to storage addressed
 // by item index, never by completion order.
-func Run(n, workers int, fn func(worker, item int)) {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+func Run(n, workers int, workersID, claimsID obs.CounterID, fn func(worker, item int)) {
+	workers = min(Workers(workers), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
@@ -65,7 +65,7 @@ func Run(n, workers int, fn func(worker, item int)) {
 		return
 	}
 	o := obs.Active()
-	o.PipelineWorkers(workers)
+	o.Add(workersID, int64(workers))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for t := 0; t < workers; t++ {
@@ -77,7 +77,7 @@ func Run(n, workers int, fn func(worker, item int)) {
 				if i >= n {
 					return
 				}
-				o.PipelineClaim()
+				o.Add(claimsID, 1)
 				fn(t, i)
 			}
 		}(t)
@@ -110,13 +110,13 @@ type poolJob[J any] struct {
 func NewPool[J, R any](workers int, fn func(worker int, job J) R) *Pool[J, R] {
 	workers = Workers(workers)
 	p := &Pool[J, R]{jobs: make(chan poolJob[J], 1)}
-	obs.Active().PipelineWorkers(workers)
+	obs.Active().Add(obs.PipelineWorkers, int64(workers))
 	for t := 0; t < workers; t++ {
 		p.wg.Add(1)
 		go func(t int) {
 			defer p.wg.Done()
 			for j := range p.jobs {
-				obs.Active().PipelineClaim()
+				obs.Active().Add(obs.PipelineClaims, 1)
 				r := fn(t, j.job)
 				p.mu.Lock()
 				for len(p.results) <= j.index {
@@ -140,7 +140,7 @@ func (p *Pool[J, R]) Submit(job J) {
 	select {
 	case p.jobs <- pj:
 	default:
-		obs.Active().PipelineStall()
+		obs.Active().Add(obs.PipelineStalls, 1)
 		p.jobs <- pj
 	}
 }

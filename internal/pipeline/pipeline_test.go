@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"github.com/goalp/alp/internal/obs"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -27,7 +29,7 @@ func TestRunCoversEveryItemOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 16, 100} {
 		const n = 53
 		var hits [n]atomic.Int64
-		Run(n, workers, func(_, item int) {
+		Run(n, workers, obs.PipelineWorkers, obs.PipelineClaims, func(_, item int) {
 			hits[item].Add(1)
 		})
 		for i := range hits {
@@ -40,11 +42,11 @@ func TestRunCoversEveryItemOnce(t *testing.T) {
 
 func TestRunZeroAndOneItems(t *testing.T) {
 	calls := 0
-	Run(0, 8, func(_, _ int) { calls++ })
+	Run(0, 8, obs.PipelineWorkers, obs.PipelineClaims, func(_, _ int) { calls++ })
 	if calls != 0 {
 		t.Fatalf("Run(0) made %d calls", calls)
 	}
-	Run(1, 8, func(worker, item int) {
+	Run(1, 8, obs.PipelineWorkers, obs.PipelineClaims, func(worker, item int) {
 		calls++
 		if worker != 0 || item != 0 {
 			t.Fatalf("Run(1) got worker=%d item=%d", worker, item)
@@ -61,7 +63,7 @@ func TestRunZeroAndOneItems(t *testing.T) {
 func TestRunWorkerIDsAreDisjoint(t *testing.T) {
 	const n, workers = 40, 4
 	var perWorker [workers]atomic.Int64
-	Run(n, workers, func(worker, _ int) {
+	Run(n, workers, obs.PipelineWorkers, obs.PipelineClaims, func(worker, _ int) {
 		if worker < 0 || worker >= workers {
 			t.Errorf("worker id %d out of range", worker)
 			return

@@ -124,6 +124,9 @@ func TestBadRequests(t *testing.T) {
 			// every occurrence must still parse.
 			{"unparseable repeated predicate", "GET", "/v1/columns/col/agg?ge=1&ge=bad", nil, 400},
 			{"bad threads", "GET", "/v1/columns/col/agg?threads=0", nil, 400},
+			// A repeated row-group would be folded once per listing.
+			{"repeated agg rgs", "GET", "/v1/columns/col/agg?partials=rowgroups&rgs=0,0", nil, 400},
+			{"repeated count rgs", "GET", "/v1/columns/col/count?partials=rowgroups&rgs=0,0", nil, 400},
 			{"misaligned body", "POST", "/v1/columns/misaligned", strings.NewReader("12345"), 400},
 			{"bad name", "POST", "/v1/columns/bad%2Fname", bytes.NewReader(make([]byte, 16)), 400},
 			{"unknown column", "GET", "/v1/columns/nope/agg", nil, 404},
@@ -697,7 +700,7 @@ func TestMetricsProm(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	forEachService(t, server.Options{}, nil, func(t *testing.T, _ *server.Server, url string) {
-		obs.Active().ServerRequest()
+		obs.Active().Add(obs.ServerRequests, 1)
 		resp, err := http.Get(url + "/metrics.prom")
 		if err != nil {
 			t.Fatal(err)

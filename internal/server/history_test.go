@@ -30,7 +30,7 @@ func histTestStore(t *testing.T, scrapes, window int) (*metricstore.Store, int64
 	})
 	first := ts + 10_000
 	for i := 0; i < scrapes; i++ {
-		c.ServerRequest()
+		c.Add(obs.ServerRequests, 1)
 		c.Observe(obs.HistScan, int64(1000+i))
 		ts += 10_000
 		st.ScrapeOnce()

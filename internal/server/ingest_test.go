@@ -270,7 +270,9 @@ func TestIngestAllocationBudget(t *testing.T) {
 // TestIngestRetainsNoEncoderState: a raw-ingested column retains no
 // more heap than the same column ingested compressed, so nothing of
 // the encoder — buffers, ALP_rd encode indexes, the Encoder itself —
-// outlives the ingest.
+// outlives the ingest. Nor does a compressed ingest keep more than the
+// raw one beyond a small bound: it stores the body's bytes, not the
+// spare capacity io.ReadAll grew (about 1.5 MB here).
 func TestIngestRetainsNoEncoderState(t *testing.T) {
 	temp := ingestWindow(t, "City-Temp", 2<<20)
 	poi := ingestWindow(t, "POI-lat", 1<<20)
@@ -292,6 +294,10 @@ func TestIngestRetainsNoEncoderState(t *testing.T) {
 	t.Logf("heap after raw ingest %.1f MB, after compressed ingest %.1f MB", float64(raw)/1e6, float64(comp)/1e6)
 	if raw > comp {
 		t.Errorf("raw ingest retains %d heap bytes, compressed ingest of the same column %d", raw, comp)
+	}
+	const slack = 512 << 10
+	if comp > raw+slack {
+		t.Errorf("compressed ingest retains %d heap bytes, raw ingest of the same column %d: more than %d over", comp, raw, slack)
 	}
 	runtime.KeepAlive(rawTemp)
 	runtime.KeepAlive(rawPOI)

@@ -160,7 +160,7 @@ func (sc *storedColumn) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi
 	var frames [4]int64 // by format.ScanFrameKind
 	var bytesSaved int64
 	defer func() {
-		o.VectorsSkipped(skipped)
+		o.Add(obs.VectorsSkipped, int64(skipped))
 		o.FlushScanBatch(&batch)
 		o.ScanFrames(frames[format.ScanFrameDense], frames[format.ScanFrameRepacked], frames[format.ScanFrameRaw], bytesSaved)
 		tr.Add(obs.SpanEngine, engineNs)

@@ -71,6 +71,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -295,7 +296,7 @@ func (s *Server) wrap(ep obs.HistID, h func(http.ResponseWriter, *http.Request) 
 		o := obs.Active()
 		start := time.Now()
 		if !s.gate.enter() {
-			o.ServerRefused()
+			o.Add(obs.ServerRefused, 1)
 			w.Header().Set("Connection", "close")
 			httpError(w, http.StatusServiceUnavailable, "server is shutting down")
 			return
@@ -307,12 +308,12 @@ func (s *Server) wrap(ep obs.HistID, h func(http.ResponseWriter, *http.Request) 
 		default:
 			// Saturated: shed instead of queueing, so latency stays
 			// bounded and the client's retry policy paces the load.
-			o.ServerShed()
+			o.Add(obs.ServerSheds, 1)
 			w.Header().Set("Retry-After", strconv.Itoa(int(s.opts.RetryAfter.Seconds())))
 			httpError(w, http.StatusTooManyRequests, "server at capacity, retry later")
 			return
 		}
-		o.ServerRequest()
+		o.Add(obs.ServerRequests, 1)
 		tr := obs.NewTrace(r.Header.Get(RequestIDHeader))
 		tr.Start = start
 		w.Header().Set(RequestIDHeader, tr.ID)
@@ -340,7 +341,7 @@ func (s *Server) wrap(ep obs.HistID, h func(http.ResponseWriter, *http.Request) 
 		// connection is aborted with http.ErrAbortHandler.
 		defer func() {
 			dur := time.Since(start)
-			o.ServerBytesOut(cw.n)
+			o.Add(obs.ServerBytesOut, cw.n)
 			o.Observe(ep, dur.Nanoseconds())
 			s.logRequest(r, tr, cw, dur)
 		}()
@@ -566,20 +567,29 @@ func parseThreads(q url.Values) (int, error) {
 }
 
 // parseRowGroups resolves the ?rgs= parameter: a comma-separated list
-// of row-group indexes (partials mode) selecting which row-groups to
-// answer for. nil means all.
+// of distinct row-group indexes (partials mode) selecting which
+// row-groups to answer for, in any order. nil means all. A repeated
+// index is refused, so one request folds each row-group at most once.
 func parseRowGroups(q url.Values, numRG int) ([]int, error) {
 	raw := q.Get("rgs")
 	if raw == "" {
 		return nil, nil
 	}
 	parts := strings.Split(raw, ",")
+	if len(parts) > numRG {
+		return nil, errorf(http.StatusBadRequest, "rgs lists %d entries, but the column has %d row-groups", len(parts), numRG)
+	}
 	out := make([]int, 0, len(parts))
+	seen := make([]bool, numRG)
 	for _, p := range parts {
 		g, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || g < 0 || g >= numRG {
 			return nil, errorf(http.StatusBadRequest, "rgs entries must be row-group indexes in [0, %d)", numRG)
 		}
+		if seen[g] {
+			return nil, errorf(http.StatusBadRequest, "rgs repeats row-group %d", g)
+		}
+		seen[g] = true
 		out = append(out, g)
 	}
 	return out, nil
@@ -664,6 +674,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 		if err == nil {
 			if col, err = format.Unmarshal(data); err != nil {
 				err = errorf(http.StatusBadRequest, "compressed column: %v", err)
+			} else {
+				// The stored stream keeps exactly the body's bytes, not
+				// the spare capacity ReadAll grew while reading it.
+				data = bytes.Clone(data)
 			}
 		}
 		tr.AddSince(obs.SpanRead, readStart)
@@ -685,7 +699,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) error {
 		}
 		return errorf(http.StatusBadRequest, "reading body: %v", err)
 	}
-	obs.Active().ServerBytesIn(n)
+	obs.Active().Add(obs.ServerBytesIn, n)
 	regStart := time.Now()
 	info, err := s.svc.Put(ctx, name, col, data)
 	tr.AddSince(obs.SpanRegistry, regStart)
@@ -824,7 +838,7 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	obs.Active().ServerScanned()
+	obs.Active().Add(obs.ServerScans, 1)
 	if partials {
 		wire := make([]aggWire, len(parts))
 		for i, a := range parts {
@@ -854,7 +868,7 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	obs.Active().ServerScanned()
+	obs.Active().Add(obs.ServerScans, 1)
 	if partials {
 		WriteJSON(w, http.StatusOK, map[string]any{"rowgroups": counts, "threads": threads})
 		return nil
@@ -901,7 +915,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) error {
 	h.Set("Content-Type", format.ScanContentType)
 	h.Set("X-Alp-Column-Values", strconv.Itoa(info.Values))
 	rows, err := c.Scan(r.Context(), pred, rgLo, rgHi, w)
-	obs.Active().ServerScanned()
+	obs.Active().Add(obs.ServerScans, 1)
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package alp
 
 import (
 	"fmt"
+	"reflect"
 
 	"github.com/goalp/alp/internal/format"
 	"github.com/goalp/alp/internal/obs"
@@ -15,63 +16,73 @@ import (
 // counting. All fields are plain values — a Stats is safe to copy,
 // compare and serialize (its exported fields make it directly usable
 // with expvar.Func).
+//
+// Each counter field's metric tag names the /metrics key it carries;
+// the tags are the only link between the fields and the collector.
 type Stats struct {
 	// Encode side.
-	RowGroupsALP     int64 // row-groups encoded with the decimal scheme
-	RowGroupsRD      int64 // row-groups that fell back to ALP_rd
-	VectorsEncoded   int64 // vectors encoded (both schemes)
-	EncodeExceptions int64 // exception slots written during encode
-	EncodeNs         int64 // wall ns spent encoding row-groups
-	EncodeValues     int64 // values encoded
+	RowGroupsALP     int64 `metric:"row_groups_alp"`    // row-groups encoded with the decimal scheme
+	RowGroupsRD      int64 `metric:"row_groups_rd"`     // row-groups that fell back to ALP_rd
+	VectorsEncoded   int64 `metric:"vectors_encoded"`   // vectors encoded (both schemes)
+	EncodeExceptions int64 `metric:"encode_exceptions"` // exception slots written during encode
+	EncodeNs         int64 `metric:"encode_ns"`         // wall ns spent encoding row-groups
+	EncodeValues     int64 `metric:"encode_values"`     // values encoded
 
 	// Second-stage sampling (per-vector (e,f) choice).
-	SecondStageSkips      int64 // vectors that needed no sampling (1 candidate)
-	SecondStageEarlyExits int64 // greedy searches that exited early
-	SecondStageTried      int64 // candidate combinations evaluated
-	RDSampledRowGroups    int64 // row-groups that ran ALP_rd sampling
-	RDCutsTried           int64 // ALP_rd cut positions evaluated
-	RDDictEntries         int64 // ALP_rd dictionary entries chosen
+	SecondStageSkips      int64 `metric:"second_stage_skips"`       // vectors that needed no sampling (1 candidate)
+	SecondStageEarlyExits int64 `metric:"second_stage_early_exits"` // greedy searches that exited early
+	SecondStageTried      int64 `metric:"second_stage_tried"`       // candidate combinations evaluated
+	RDSampledRowGroups    int64 `metric:"rd_sampled_row_groups"`    // row-groups that ran ALP_rd sampling
+	RDCutsTried           int64 `metric:"rd_cuts_tried"`            // ALP_rd cut positions evaluated
+	RDDictEntries         int64 `metric:"rd_dict_entries"`          // ALP_rd dictionary entries chosen
 
 	// BitWidthHist[w] counts encoded decimal-scheme vectors whose FFOR
 	// payload packed at w bits per value (w in 0..64).
 	BitWidthHist [65]int64
 
 	// Decode / scan side.
-	VectorsDecoded int64 // vectors decompressed (any access path)
-	VectorsSkipped int64 // vectors pruned by zone-map push-down
-	DecodeNs       int64 // wall ns spent decompressing vectors
-	DecodeValues   int64 // values decompressed
-	RangeScans     int64 // SumRange scans executed
-	MorselClaims   int64 // partitions claimed by engine scan workers
-	ScanWorkers    int64 // scan worker goroutines launched
+	VectorsDecoded int64 `metric:"vectors_decoded"` // vectors decompressed (any access path)
+	VectorsSkipped int64 `metric:"vectors_skipped"` // vectors pruned by zone-map push-down
+	DecodeNs       int64 `metric:"decode_ns"`       // wall ns spent decompressing vectors
+	DecodeValues   int64 `metric:"decode_values"`   // values decompressed
+	RangeScans     int64 `metric:"range_scans"`     // SumRange scans executed
+	MorselClaims   int64 `metric:"morsel_claims"`   // partitions claimed by parallel engine scans
+	ScanWorkers    int64 `metric:"scan_workers"`    // worker goroutines launched by parallel engine scans
 
 	// Encoded-domain predicate pushdown (filtered scans).
-	PushdownVectors   int64 // vectors filtered by the fused unpack+compare kernel
-	PushdownFallbacks int64 // filtered-scan vectors that decoded to floats instead
-	SelectedRows      int64 // rows qualifying under pushed-down predicates
+	PushdownVectors   int64 `metric:"pushdown_vectors"`   // vectors filtered by the fused unpack+compare kernel
+	PushdownFallbacks int64 `metric:"pushdown_fallbacks"` // filtered-scan vectors that decoded to floats instead
+	SelectedRows      int64 `metric:"selected_rows"`      // rows qualifying under pushed-down predicates
 
 	// Encode/decode pipeline (the worker pool behind EncodeParallel,
 	// DecodeParallel and NewWriterParallel).
-	PipelineWorkers int64 // pipeline worker goroutines spawned
-	PipelineClaims  int64 // row-groups claimed by pipeline workers
-	PipelineStalls  int64 // submissions that blocked on a full window
+	PipelineWorkers int64 `metric:"pipeline_workers"` // pipeline worker goroutines spawned
+	PipelineClaims  int64 `metric:"pipeline_claims"`  // row-groups claimed by pipeline workers
+	PipelineStalls  int64 `metric:"pipeline_stalls"`  // submissions that blocked on a full window
 
 	// Column service (alpserved / internal/server). Request durations
 	// live in the latency histograms (ReadLatencies / the /metrics
-	// lat_* keys), not here: the old ServerScanNs aggregate was retired
-	// when per-endpoint histograms replaced it.
-	ServerRequests int64 // HTTP requests admitted by the service
-	ServerSheds    int64 // requests shed with 429 by the concurrency limiter
-	ServerRefused  int64 // requests refused with 503 while draining
-	ServerBytesIn  int64 // request payload bytes read (ingest)
-	ServerBytesOut int64 // response payload bytes written
-	ServerScans    int64 // scan/agg/count requests served
+	// lat_* keys), not here.
+	ServerRequests int64 `metric:"server_requests"`  // HTTP requests admitted by the service
+	ServerSheds    int64 `metric:"server_sheds"`     // requests shed with 429 by the concurrency limiter
+	ServerRefused  int64 `metric:"server_refused"`   // requests refused with 503 while draining
+	ServerBytesIn  int64 `metric:"server_bytes_in"`  // request payload bytes read (ingest)
+	ServerBytesOut int64 `metric:"server_bytes_out"` // response payload bytes written
+	ServerScans    int64 `metric:"server_scans"`     // scan/agg/count requests served
 
 	// Selection-aware scan wire format (application/x-alp-scan).
-	ScanFramesDense    int64 // frames shipped as stored envelope + bitmap
-	ScanFramesRepacked int64 // frames shipped as re-packed ALP vectors
-	ScanFramesRaw      int64 // frames that fell back to raw float64 rows
-	ScanBytesSaved     int64 // wire bytes saved vs the raw-float64 floor
+	ScanFramesDense    int64 `metric:"scan_frames_dense"`    // frames shipped as stored envelope + bitmap
+	ScanFramesRepacked int64 `metric:"scan_frames_repacked"` // frames shipped as re-packed ALP vectors
+	ScanFramesRaw      int64 `metric:"scan_frames_raw"`      // frames that fell back to raw float64 rows
+	ScanBytesSaved     int64 `metric:"scan_bytes_saved"`     // wire bytes saved vs the raw-float64 floor
+
+	// Scatter-gather coordinator (alpclusterd / internal/cluster).
+	ClusterScatters   int64 `metric:"cluster_scatters"`            // scatter fan-outs executed (one per clustered query)
+	ClusterCalls      int64 `metric:"cluster_backend_calls"`       // backend calls issued by scatters
+	ClusterFailovers  int64 `metric:"cluster_failovers"`           // row-group groups re-fetched from a replica
+	ClusterPartial    int64 `metric:"cluster_partial_unavailable"` // queries failed typed partial-unavailable
+	ClusterStragglers int64 `metric:"cluster_stragglers"`          // scatters whose slowest backend took over twice the fastest
+	ClusterRebalances int64 `metric:"cluster_rebalances"`          // row-group range moves completed
 }
 
 // EnableStats turns on global metrics collection. Instrumented hot
@@ -91,47 +102,47 @@ func StatsEnabled() bool { return obs.Active() != nil }
 // ReadStats snapshots the current counters. With collection disabled it
 // returns a zero Stats.
 func ReadStats() Stats {
-	return statsFromSnapshot(obs.Active().Snapshot())
+	snap := obs.Active().Snapshot()
+	s := Stats{BitWidthHist: snap.BitWidthHist}
+	s.eachCounter(func(f reflect.Value, id obs.CounterID) { f.SetInt(snap.Counter[id]) })
+	return s
 }
 
-func statsFromSnapshot(s obs.Snapshot) Stats {
-	return Stats{
-		RowGroupsALP:          s.RowGroupsALP,
-		RowGroupsRD:           s.RowGroupsRD,
-		VectorsEncoded:        s.VectorsEncoded,
-		EncodeExceptions:      s.EncodeExceptions,
-		EncodeNs:              s.EncodeNs,
-		EncodeValues:          s.EncodeValues,
-		SecondStageSkips:      s.SecondStageSkips,
-		SecondStageEarlyExits: s.SecondStageEarlyExits,
-		SecondStageTried:      s.SecondStageTried,
-		RDSampledRowGroups:    s.RDSampledRowGroups,
-		RDCutsTried:           s.RDCutsTried,
-		RDDictEntries:         s.RDDictEntries,
-		BitWidthHist:          s.BitWidthHist,
-		VectorsDecoded:        s.VectorsDecoded,
-		VectorsSkipped:        s.VectorsSkipped,
-		DecodeNs:              s.DecodeNs,
-		DecodeValues:          s.DecodeValues,
-		RangeScans:            s.RangeScans,
-		MorselClaims:          s.MorselClaims,
-		ScanWorkers:           s.ScanWorkers,
-		PushdownVectors:       s.PushdownVectors,
-		PushdownFallbacks:     s.PushdownFallbacks,
-		SelectedRows:          s.SelectedRows,
-		PipelineWorkers:       s.PipelineWorkers,
-		PipelineClaims:        s.PipelineClaims,
-		PipelineStalls:        s.PipelineStalls,
-		ServerRequests:        s.ServerRequests,
-		ServerSheds:           s.ServerSheds,
-		ServerRefused:         s.ServerRefused,
-		ServerBytesIn:         s.ServerBytesIn,
-		ServerBytesOut:        s.ServerBytesOut,
-		ServerScans:           s.ServerScans,
-		ScanFramesDense:       s.ScanFramesDense,
-		ScanFramesRepacked:    s.ScanFramesRepacked,
-		ScanFramesRaw:         s.ScanFramesRaw,
-		ScanBytesSaved:        s.ScanBytesSaved,
+// statsCounter pairs a metric-tagged Stats field (by index) with its
+// counter.
+type statsCounter struct {
+	field int
+	id    obs.CounterID
+}
+
+// statsCounters lists every metric-tagged Stats field. A tag naming no
+// counter is a bug in this file, so it panics at start-up.
+var statsCounters = func() (out []statsCounter) {
+	t := reflect.TypeOf(Stats{})
+	for i := 0; i < t.NumField(); i++ {
+		name, ok := t.Field(i).Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		id := obs.CounterID(0)
+		for id < obs.NumCounters && obs.CounterName(id) != name {
+			id++
+		}
+		if id == obs.NumCounters {
+			panic("alp: Stats." + t.Field(i).Name + " tags unknown metric " + name)
+		}
+		out = append(out, statsCounter{i, id})
+	}
+	return out
+}()
+
+// eachCounter calls fn with every metric-tagged field of s and its
+// counter: the one copy loop between Stats and the collector's
+// snapshot, behind ReadStats and String.
+func (s *Stats) eachCounter(fn func(field reflect.Value, id obs.CounterID)) {
+	v := reflect.ValueOf(s).Elem()
+	for _, p := range statsCounters {
+		fn(v.Field(p.field), p.id)
 	}
 }
 
@@ -180,7 +191,9 @@ func (s Stats) SkipRate() float64 {
 // A Stats holds only the counters, so the lat_*/stage_* histogram keys
 // render as zero here; use MetricsJSON for the full picture.
 func (s Stats) String() string {
-	return statsToSnapshot(s).String()
+	snap := obs.Snapshot{BitWidthHist: s.BitWidthHist}
+	s.eachCounter(func(f reflect.Value, id obs.CounterID) { snap.Counter[id] = f.Int() })
+	return snap.String()
 }
 
 // MetricsJSON renders the complete live metrics snapshot — counters
@@ -189,47 +202,6 @@ func (s Stats) String() string {
 // disabled it returns an all-zero snapshot.
 func MetricsJSON() string {
 	return obs.Active().Snapshot().String()
-}
-
-func statsToSnapshot(s Stats) obs.Snapshot {
-	return obs.Snapshot{
-		RowGroupsALP:          s.RowGroupsALP,
-		RowGroupsRD:           s.RowGroupsRD,
-		VectorsEncoded:        s.VectorsEncoded,
-		EncodeExceptions:      s.EncodeExceptions,
-		EncodeNs:              s.EncodeNs,
-		EncodeValues:          s.EncodeValues,
-		SecondStageSkips:      s.SecondStageSkips,
-		SecondStageEarlyExits: s.SecondStageEarlyExits,
-		SecondStageTried:      s.SecondStageTried,
-		RDSampledRowGroups:    s.RDSampledRowGroups,
-		RDCutsTried:           s.RDCutsTried,
-		RDDictEntries:         s.RDDictEntries,
-		BitWidthHist:          s.BitWidthHist,
-		VectorsDecoded:        s.VectorsDecoded,
-		VectorsSkipped:        s.VectorsSkipped,
-		DecodeNs:              s.DecodeNs,
-		DecodeValues:          s.DecodeValues,
-		RangeScans:            s.RangeScans,
-		MorselClaims:          s.MorselClaims,
-		ScanWorkers:           s.ScanWorkers,
-		PushdownVectors:       s.PushdownVectors,
-		PushdownFallbacks:     s.PushdownFallbacks,
-		SelectedRows:          s.SelectedRows,
-		PipelineWorkers:       s.PipelineWorkers,
-		PipelineClaims:        s.PipelineClaims,
-		PipelineStalls:        s.PipelineStalls,
-		ServerRequests:        s.ServerRequests,
-		ServerSheds:           s.ServerSheds,
-		ServerRefused:         s.ServerRefused,
-		ServerBytesIn:         s.ServerBytesIn,
-		ServerBytesOut:        s.ServerBytesOut,
-		ServerScans:           s.ServerScans,
-		ScanFramesDense:       s.ScanFramesDense,
-		ScanFramesRepacked:    s.ScanFramesRepacked,
-		ScanFramesRaw:         s.ScanFramesRaw,
-		ScanBytesSaved:        s.ScanBytesSaved,
-	}
 }
 
 // LatencyStats summarizes one latency distribution tracked by the

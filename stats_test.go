@@ -268,6 +268,29 @@ func TestStatsSumRangeStraddlingCounts(t *testing.T) {
 	})
 }
 
+// TestStatsDerivedRates pins the averages and rates Stats derives from
+// its counters, and their zero guards.
+func TestStatsDerivedRates(t *testing.T) {
+	s := Stats{EncodeNs: 500, EncodeValues: 3048, DecodeNs: 60, DecodeValues: 1536,
+		VectorsSkipped: 6, VectorsDecoded: 2, PushdownVectors: 3, PushdownFallbacks: 1}
+	if got := s.EncodeNsPerValue(); got != 500.0/3048.0 {
+		t.Errorf("EncodeNsPerValue = %v", got)
+	}
+	if got := s.DecodeNsPerValue(); got != 60.0/1536.0 {
+		t.Errorf("DecodeNsPerValue = %v", got)
+	}
+	if got := s.SkipRate(); got != 6.0/8.0 {
+		t.Errorf("SkipRate = %v", got)
+	}
+	if got := s.PushdownRate(); got != 3.0/4.0 {
+		t.Errorf("PushdownRate = %v", got)
+	}
+	var zero Stats
+	if zero.EncodeNsPerValue() != 0 || zero.DecodeNsPerValue() != 0 || zero.SkipRate() != 0 || zero.PushdownRate() != 0 {
+		t.Error("a zero Stats derives a non-zero rate")
+	}
+}
+
 func TestStatsDisabledIsZero(t *testing.T) {
 	DisableStats()
 	ResetStats() // must be a safe no-op with collection off
