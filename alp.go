@@ -294,9 +294,10 @@ func (c *Column) BuildScanStream(lo, hi float64) ([]byte, int) {
 // DecodeScanStream decodes a complete selection-aware scan stream into
 // the selected rows, in position order, bit-identical to filtering the
 // decoded column locally. The result is allocated once, sized from the
-// frame headers. Any structural defect — bad magic, truncated or
-// corrupted frame, bitmap/count mismatch — returns an error along with
-// the rows decoded before the defect.
+// frame headers, and every frame decodes straight into it. Any
+// structural defect — bad magic, truncated or corrupted frame,
+// bitmap/count mismatch — returns an error along with the rows decoded
+// before the defect.
 func DecodeScanStream(data []byte) ([]float64, error) {
 	d, err := format.NewScanDecoder(data)
 	if err != nil {
@@ -307,13 +308,12 @@ func DecodeScanStream(data []byte) ([]float64, error) {
 		out = make([]float64, 0, n)
 	}
 	for {
-		rows, err := d.Next()
+		out, err = d.AppendNext(out)
 		if err == io.EOF {
 			return out, nil
 		}
 		if err != nil {
 			return out, err
 		}
-		out = append(out, rows...)
 	}
 }

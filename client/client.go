@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -25,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/goalp/alp"
 	"github.com/goalp/alp/internal/obs"
@@ -156,10 +158,21 @@ func retryable(status int) bool {
 	return false
 }
 
+// bodyPool holds the buffers response bodies are read into, so a
+// client reading one scan after another stops growing a fresh buffer
+// for each.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest buffer that goes back to bodyPool; one
+// that grew past it for an outsized answer is left to the collector.
+const maxPooledBody = 16 << 20
+
 // do runs one API call with retries. body may be nil; it is replayed
-// from the byte slice on every attempt. The response body bytes are
-// returned for 2xx responses.
-func (c *Client) do(ctx context.Context, method, path string, query url.Values, body []byte, contentType string) ([]byte, http.Header, error) {
+// from the byte slice on every attempt, and is not read once do has
+// returned. A 2xx response's body and headers (trailers included) go to
+// parse, when non-nil, whose error do returns; the body is a pooled
+// buffer, valid only until parse returns.
+func (c *Client) do(ctx context.Context, method, path string, query url.Values, body []byte, contentType string, parse func(payload []byte, hdr http.Header) error) error {
 	u := c.base + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -172,19 +185,31 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		reqID = tr.ID
 	}
+	var lent *lentBody
+	if len(body) > 0 {
+		lent = &lentBody{data: body}
+		defer lent.end()
+	}
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		c.attempts.Add(1)
 		if attempt > 0 {
 			c.retries.Add(1)
 		}
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, u, rd)
+		req, err := http.NewRequestWithContext(ctx, method, u, nil)
 		if err != nil {
-			return nil, nil, err
+			return err
+		}
+		if lent != nil {
+			req.Body = lent.reader()
+			req.GetBody = func() (io.ReadCloser, error) { return lent.reader(), nil }
+			req.ContentLength = int64(len(body))
 		}
 		req.Header.Set(RequestIDHeader, reqID)
 		if contentType != "" {
@@ -197,17 +222,18 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 			// Transport error. Context cancellation is terminal; the
 			// rest (refused connections, resets) retry.
 			if ctx.Err() != nil {
-				return nil, nil, ctx.Err()
+				return ctx.Err()
 			}
 			c.transport.Add(1)
 			lastErr = err
 			wait = c.delay(attempt, "")
 		default:
-			payload, readErr := io.ReadAll(resp.Body)
+			buf.Reset()
+			_, readErr := buf.ReadFrom(resp.Body)
 			resp.Body.Close()
 			if readErr != nil {
 				if ctx.Err() != nil {
-					return nil, nil, ctx.Err()
+					return ctx.Err()
 				}
 				c.transport.Add(1)
 				lastErr = readErr
@@ -215,8 +241,11 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 				break
 			}
 			if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+				if parse == nil {
+					return nil
+				}
 				// Trailers are populated once the body has been read to
-				// EOF; fold them into the returned headers so callers can
+				// EOF; fold them into the headers parse sees so it can
 				// verify stream-completion markers (see Scan).
 				hdr := resp.Header
 				if len(resp.Trailer) > 0 {
@@ -225,22 +254,22 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 						hdr[k] = vs
 					}
 				}
-				return payload, hdr, nil
+				return parse(buf.Bytes(), hdr)
 			}
 			if resp.StatusCode == http.StatusTooManyRequests {
 				c.shed.Add(1)
 			} else if resp.StatusCode >= 500 {
 				c.serverErr.Add(1)
 			}
-			apiErr := &APIError{Status: resp.StatusCode, Message: errMessage(payload)}
+			apiErr := &APIError{Status: resp.StatusCode, Message: errMessage(buf.Bytes())}
 			if !retryable(resp.StatusCode) {
-				return nil, nil, apiErr
+				return apiErr
 			}
 			lastErr = apiErr
 			wait = c.delay(attempt, resp.Header.Get("Retry-After"))
 		}
 		if attempt >= c.retryLimit {
-			return nil, nil, fmt.Errorf("alpserved: giving up after %d attempts: %w", attempt+1, lastErr)
+			return fmt.Errorf("alpserved: giving up after %d attempts: %w", attempt+1, lastErr)
 		}
 		slept := time.Now()
 		t := time.NewTimer(wait)
@@ -248,12 +277,58 @@ func (c *Client) do(ctx context.Context, method, path string, query url.Values, 
 		case <-ctx.Done():
 			t.Stop()
 			c.backoffNs.Add(time.Since(slept).Nanoseconds())
-			return nil, nil, ctx.Err()
+			return ctx.Err()
 		case <-t.C:
 			c.backoffNs.Add(time.Since(slept).Nanoseconds())
 		}
 	}
 }
+
+// lentBody lends a call's non-empty request body to net/http for as
+// long as the call runs. The transport may read a request body after Do
+// has returned (it goes on writing while an early answer is read, and
+// closes bodies asynchronously), so every read goes through the lock,
+// and once end has run a read fails without touching the caller's
+// memory.
+type lentBody struct {
+	mu   sync.Mutex
+	data []byte // nil once the loan has ended
+}
+
+// errBodyEnded is what a request body read after its call returned
+// gets.
+var errBodyEnded = errors.New("alpserved: request body read after its call returned")
+
+// reader returns a fresh reader over the body, one per attempt.
+func (b *lentBody) reader() io.ReadCloser { return &lentReader{b: b} }
+
+// end ends the loan: no read touches the body afterwards.
+func (b *lentBody) end() {
+	b.mu.Lock()
+	b.data = nil
+	b.mu.Unlock()
+}
+
+type lentReader struct {
+	b   *lentBody
+	off int
+}
+
+func (r *lentReader) Read(p []byte) (int, error) {
+	r.b.mu.Lock()
+	defer r.b.mu.Unlock()
+	if r.b.data == nil {
+		return 0, errBodyEnded
+	}
+	if r.off == len(r.b.data) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b.data[r.off:])
+	r.off += n
+	return n, nil
+}
+
+func (r *lentReader) Close() error { return nil }
 
 // delay computes the sleep before the next attempt: the server's
 // Retry-After when present (still jittered, so a fleet of shed clients
@@ -434,21 +509,54 @@ func wireFloat(field, bits, g string) (float64, error) {
 
 // ---- API methods ----
 
+// nativeLE reports a little-endian host, where a []float64's memory is
+// already the raw ingest wire format.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// jsonInto returns a parse step that unmarshals a response body into v;
+// what names the body in the error.
+func jsonInto(v any, what string) func([]byte, http.Header) error {
+	return func(payload []byte, _ http.Header) error {
+		if err := json.Unmarshal(payload, v); err != nil {
+			return fmt.Errorf("alpserved: bad %s: %w", what, err)
+		}
+		return nil
+	}
+}
+
+// cloneInto returns a parse step that keeps an exact-size copy of the
+// response body in *dst.
+func cloneInto(dst *[]byte) func([]byte, http.Header) error {
+	return func(payload []byte, _ http.Header) error {
+		*dst = bytes.Clone(payload)
+		return nil
+	}
+}
+
 // Ingest uploads values as a new column (replacing any column of the
 // same name) and returns the stored column's shape. The upload is
-// retried as a whole on shed load or transport failure.
+// retried as a whole on shed load or transport failure. On a
+// little-endian host the request body is values' own memory, sent
+// without a copy, so values must not change until Ingest returns.
 func (c *Client) Ingest(ctx context.Context, name string, values []float64) (ColumnInfo, error) {
-	body := make([]byte, 8*len(values))
-	for i, v := range values {
-		binary.LittleEndian.PutUint64(body[i*8:], math.Float64bits(v))
+	var body []byte
+	if nativeLE {
+		body = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(values))), 8*len(values))
+	} else {
+		body = make([]byte, 8*len(values))
+		for i, v := range values {
+			binary.LittleEndian.PutUint64(body[i*8:], math.Float64bits(v))
+		}
 	}
-	payload, _, err := c.do(ctx, http.MethodPost, "/v1/columns/"+url.PathEscape(name), nil, body, "application/x-alp-f64le")
+	return c.ingest(ctx, name, body, "application/x-alp-f64le")
+}
+
+// ingest posts one column body of the given content type.
+func (c *Client) ingest(ctx context.Context, name string, body []byte, contentType string) (ColumnInfo, error) {
+	var info ColumnInfo
+	err := c.do(ctx, http.MethodPost, "/v1/columns/"+url.PathEscape(name), nil, body, contentType, jsonInto(&info, "ingest response"))
 	if err != nil {
 		return ColumnInfo{}, err
-	}
-	var info ColumnInfo
-	if err := json.Unmarshal(payload, &info); err != nil {
-		return ColumnInfo{}, fmt.Errorf("alpserved: bad ingest response: %w", err)
 	}
 	return info, nil
 }
@@ -459,13 +567,9 @@ func (c *Client) Ingest(ctx context.Context, name string, values []float64) (Col
 // evaluating the same predicate in-process over the same values, at
 // any thread count.
 func (c *Client) Agg(ctx context.Context, name string, p Predicate) (Agg, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/agg", p.query(), nil, "")
-	if err != nil {
-		return Agg{}, err
-	}
 	var w aggWire
-	if err := json.Unmarshal(payload, &w); err != nil {
-		return Agg{}, fmt.Errorf("alpserved: bad agg response: %w", err)
+	if err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/agg", p.query(), nil, "", jsonInto(&w, "agg response")); err != nil {
+		return Agg{}, err
 	}
 	return w.decode()
 }
@@ -473,15 +577,11 @@ func (c *Client) Agg(ctx context.Context, name string, p Predicate) (Agg, error)
 // Count runs SELECT COUNT(*) WHERE p server-side; on pushdown-capable
 // vectors no qualifying row is materialized at all.
 func (c *Client) Count(ctx context.Context, name string, p Predicate) (int64, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/count", p.query(), nil, "")
-	if err != nil {
-		return 0, err
-	}
 	var w struct {
 		Count int64 `json:"count"`
 	}
-	if err := json.Unmarshal(payload, &w); err != nil {
-		return 0, fmt.Errorf("alpserved: bad count response: %w", err)
+	if err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/count", p.query(), nil, "", jsonInto(&w, "count response")); err != nil {
+		return 0, err
 	}
 	return w.Count, nil
 }
@@ -492,23 +592,28 @@ func (c *Client) Count(ctx context.Context, name string, p Predicate) (int64, er
 // per-vector payloads — stored envelopes with selection bitmaps,
 // re-packed ALP vectors, or raw float64s, whichever is smallest — which
 // the client decodes with the fused unpack+gather kernels, so wire
-// bytes track compressed size rather than 8 bytes per row. The server
-// frames completion with a trailing row count (written only when the
-// scan ran to the end) and aborts the connection if its deadline fires
+// bytes track compressed size rather than 8 bytes per row. The body is
+// read into a reused buffer and every frame decodes straight into the
+// one result, sized from the frame headers. The server frames
+// completion with a trailing row count (written only when the scan ran
+// to the end) and aborts the connection if its deadline fires
 // mid-stream, so a truncated or corrupted response — or a body that is
 // not an ALPS stream at all — surfaces as an error here, never as a
 // silently partial result.
 func (c *Client) Scan(ctx context.Context, name string, p Predicate) ([]float64, error) {
-	payload, rows, err := c.ScanRange(ctx, name, p, -1, -1)
+	var out []float64
+	err := c.scan(ctx, name, p, -1, -1, func(stream []byte, rows int) error {
+		var err error
+		if out, err = alp.DecodeScanStream(stream); err != nil {
+			return fmt.Errorf("alpserved: scan stream: %w", err)
+		}
+		if len(out) != rows {
+			return fmt.Errorf("alpserved: scan returned %d rows, server sent %d", len(out), rows)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out, err := alp.DecodeScanStream(payload)
-	if err != nil {
-		return nil, fmt.Errorf("alpserved: scan stream: %w", err)
-	}
-	if len(out) != rows {
-		return nil, fmt.Errorf("alpserved: scan returned %d rows, server sent %d", len(out), rows)
 	}
 	return out, nil
 }
@@ -516,31 +621,38 @@ func (c *Client) Scan(ctx context.Context, name string, p Predicate) ([]float64,
 // Compressed fetches the column's full ALP stream — the bytes the
 // server stores, usable with alp.Open / alp.Decode.
 func (c *Client) Compressed(ctx context.Context, name string) ([]byte, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/data", nil, nil, "")
-	return payload, err
+	var data []byte
+	err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/data", nil, nil, "", cloneInto(&data))
+	return data, err
 }
 
 // Values fetches the column in compressed form and decodes it locally:
 // the wire carries ALP-encoded bytes (typically a fraction of the raw
 // size), never decoded floats.
 func (c *Client) Values(ctx context.Context, name string) ([]float64, error) {
-	data, err := c.Compressed(ctx, name)
+	var out []float64
+	err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/data", nil, nil, "", func(payload []byte, _ http.Header) error {
+		var err error
+		out, err = alp.Decode(payload)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return alp.Decode(data)
+	return out, nil
 }
 
 // Vector fetches one encoded vector and decodes it locally. The server
 // ships the vector's packed payload verbatim.
 func (c *Client) Vector(ctx context.Context, name string, i int) ([]float64, error) {
-	payload, _, err := c.do(ctx, http.MethodGet,
-		"/v1/columns/"+url.PathEscape(name)+"/vectors/"+strconv.Itoa(i), nil, nil, "")
-	if err != nil {
-		return nil, err
-	}
 	dst := make([]float64, alp.VectorSize)
-	n, err := alp.DecodeEncodedVector(payload, dst)
+	var n int
+	err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/vectors/"+strconv.Itoa(i), nil, nil, "",
+		func(payload []byte, _ http.Header) error {
+			var err error
+			n, err = alp.DecodeEncodedVector(payload, dst)
+			return err
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -549,48 +661,35 @@ func (c *Client) Vector(ctx context.Context, name string, i int) ([]float64, err
 
 // Info fetches the column's shape.
 func (c *Client) Info(ctx context.Context, name string) (ColumnInfo, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name), nil, nil, "")
-	if err != nil {
-		return ColumnInfo{}, err
-	}
 	var info ColumnInfo
-	if err := json.Unmarshal(payload, &info); err != nil {
-		return ColumnInfo{}, fmt.Errorf("alpserved: bad info response: %w", err)
+	if err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name), nil, nil, "", jsonInto(&info, "info response")); err != nil {
+		return ColumnInfo{}, err
 	}
 	return info, nil
 }
 
 // List returns the names of the served columns.
 func (c *Client) List(ctx context.Context) ([]string, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns", nil, nil, "")
-	if err != nil {
-		return nil, err
-	}
 	var w struct {
 		Columns []string `json:"columns"`
 	}
-	if err := json.Unmarshal(payload, &w); err != nil {
-		return nil, fmt.Errorf("alpserved: bad list response: %w", err)
+	if err := c.do(ctx, http.MethodGet, "/v1/columns", nil, nil, "", jsonInto(&w, "list response")); err != nil {
+		return nil, err
 	}
 	return w.Columns, nil
 }
 
 // Delete drops a column.
 func (c *Client) Delete(ctx context.Context, name string) error {
-	_, _, err := c.do(ctx, http.MethodDelete, "/v1/columns/"+url.PathEscape(name), nil, nil, "")
-	return err
+	return c.do(ctx, http.MethodDelete, "/v1/columns/"+url.PathEscape(name), nil, nil, "", nil)
 }
 
 // Metrics fetches the server's counter snapshot (the /metrics JSON) as
 // a name -> value map; bit_width_hist is omitted.
 func (c *Client) Metrics(ctx context.Context) (map[string]int64, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/metrics", nil, nil, "")
-	if err != nil {
-		return nil, err
-	}
 	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(payload, &raw); err != nil {
-		return nil, fmt.Errorf("alpserved: bad metrics response: %w", err)
+	if err := c.do(ctx, http.MethodGet, "/metrics", nil, nil, "", jsonInto(&raw, "metrics response")); err != nil {
+		return nil, err
 	}
 	out := make(map[string]int64, len(raw))
 	for k, v := range raw {

@@ -7,8 +7,8 @@
 package client
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -56,16 +56,12 @@ func (c *Client) AggPartials(ctx context.Context, name string, p Predicate, rgs 
 	q := p.query()
 	q.Set("partials", "rowgroups")
 	rgList(q, rgs)
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/agg", q, nil, "")
-	if err != nil {
-		return nil, 0, err
-	}
 	var w struct {
 		RowGroups []aggWire `json:"rowgroups"`
 		Touched   int       `json:"touched"`
 	}
-	if err := json.Unmarshal(payload, &w); err != nil {
-		return nil, 0, fmt.Errorf("alpserved: bad agg partials response: %w", err)
+	if err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/agg", q, nil, "", jsonInto(&w, "agg partials response")); err != nil {
+		return nil, 0, err
 	}
 	out := make([]AggPartial, len(w.RowGroups))
 	for i, pw := range w.RowGroups {
@@ -84,28 +80,40 @@ func (c *Client) CountPartials(ctx context.Context, name string, p Predicate, rg
 	q := p.query()
 	q.Set("partials", "rowgroups")
 	rgList(q, rgs)
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/count", q, nil, "")
-	if err != nil {
-		return nil, err
-	}
 	var w struct {
 		RowGroups []int64 `json:"rowgroups"`
 	}
-	if err := json.Unmarshal(payload, &w); err != nil {
-		return nil, fmt.Errorf("alpserved: bad count partials response: %w", err)
+	if err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/count", q, nil, "", jsonInto(&w, "count partials response")); err != nil {
+		return nil, err
 	}
 	return w.RowGroups, nil
 }
 
 // ScanRange fetches the ALPS scan stream of the row-group range
 // [rgLo, rgHi] (inclusive, server-local indexes; pass -1, -1 for the
-// whole column) without decoding it, returning the body bytes and the
-// server's completion-trailer row count. Streams of consecutive ranges
-// concatenate once the 5-byte stream header of every chunk after the
-// first is stripped, which is what a scatter-gather coordinator does
-// with them. A response without the completion trailer is an error —
-// truncation never passes silently.
+// whole column) without decoding it, returning an exact-size copy of
+// the body and the server's completion-trailer row count. Streams of
+// consecutive ranges concatenate once the 5-byte stream header of every
+// chunk after the first is stripped, which is what a scatter-gather
+// coordinator does with them. A response without the completion trailer
+// is an error — truncation never passes silently.
 func (c *Client) ScanRange(ctx context.Context, name string, p Predicate, rgLo, rgHi int) ([]byte, int, error) {
+	var stream []byte
+	var n int
+	err := c.scan(ctx, name, p, rgLo, rgHi, func(body []byte, rows int) error {
+		stream, n = bytes.Clone(body), rows
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return stream, n, nil
+}
+
+// scan runs a /scan of the row-group range [rgLo, rgHi] (-1, -1 for
+// the whole column) and hands use the stream, valid only until use
+// returns, with the row count of the server's completion trailer.
+func (c *Client) scan(ctx context.Context, name string, p Predicate, rgLo, rgHi int, use func(stream []byte, rows int) error) error {
 	q := p.query()
 	if rgLo >= 0 {
 		q.Set("rg_lo", strconv.Itoa(rgLo))
@@ -113,19 +121,17 @@ func (c *Client) ScanRange(ctx context.Context, name string, p Predicate, rgLo, 
 	if rgHi >= 0 {
 		q.Set("rg_hi", strconv.Itoa(rgHi))
 	}
-	payload, hdr, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/scan", q, nil, "")
-	if err != nil {
-		return nil, 0, err
-	}
-	rows := hdr.Get("X-Alp-Scan-Rows")
-	if rows == "" {
-		return nil, 0, errors.New("alpserved: scan response truncated (no completion trailer)")
-	}
-	n, err := strconv.Atoi(rows)
-	if err != nil || n < 0 {
-		return nil, 0, fmt.Errorf("alpserved: bad scan row trailer %q", rows)
-	}
-	return payload, n, nil
+	return c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/scan", q, nil, "", func(body []byte, hdr http.Header) error {
+		rows := hdr.Get("X-Alp-Scan-Rows")
+		if rows == "" {
+			return errors.New("alpserved: scan response truncated (no completion trailer)")
+		}
+		n, err := strconv.Atoi(rows)
+		if err != nil || n < 0 {
+			return fmt.Errorf("alpserved: bad scan row trailer %q", rows)
+		}
+		return use(body, n)
+	})
 }
 
 // DataRange exports the compressed stream of the row-group range
@@ -140,8 +146,9 @@ func (c *Client) DataRange(ctx context.Context, name string, rgLo, rgHi int) ([]
 	if rgHi >= 0 {
 		q.Set("rg_hi", strconv.Itoa(rgHi))
 	}
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/data", q, nil, "")
-	return payload, err
+	var data []byte
+	err := c.do(ctx, http.MethodGet, "/v1/columns/"+url.PathEscape(name)+"/data", q, nil, "", cloneInto(&data))
+	return data, err
 }
 
 // IngestCompressed uploads an already-marshaled ALP column stream
@@ -149,13 +156,5 @@ func (c *Client) DataRange(ctx context.Context, name string, rgLo, rgHi int) ([]
 // re-encode, the ingest half of a rebalance move. The server validates
 // the stream before binding it.
 func (c *Client) IngestCompressed(ctx context.Context, name string, data []byte) (ColumnInfo, error) {
-	payload, _, err := c.do(ctx, http.MethodPost, "/v1/columns/"+url.PathEscape(name), nil, data, CompressedContentType)
-	if err != nil {
-		return ColumnInfo{}, err
-	}
-	var info ColumnInfo
-	if err := json.Unmarshal(payload, &info); err != nil {
-		return ColumnInfo{}, fmt.Errorf("alpserved: bad ingest response: %w", err)
-	}
-	return info, nil
+	return c.ingest(ctx, name, data, CompressedContentType)
 }

@@ -8,7 +8,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -71,16 +70,12 @@ type historyWire struct {
 // plus the store's footprint. A server running without
 // -metrics-history returns an APIError with StatusCode 404.
 func (c *Client) MetricsSeries(ctx context.Context) ([]string, HistoryStats, error) {
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/metrics/history", nil, nil, "")
-	if err != nil {
-		return nil, HistoryStats{}, err
-	}
 	var out struct {
 		Series []string     `json:"series"`
 		Stats  HistoryStats `json:"stats"`
 	}
-	if err := json.Unmarshal(payload, &out); err != nil {
-		return nil, HistoryStats{}, fmt.Errorf("alpserved: bad history listing: %w", err)
+	if err := c.do(ctx, http.MethodGet, "/v1/metrics/history", nil, nil, "", jsonInto(&out, "history listing")); err != nil {
+		return nil, HistoryStats{}, err
 	}
 	return out.Series, out.Stats, nil
 }
@@ -101,13 +96,9 @@ func (c *Client) MetricsHistory(ctx context.Context, metric string, since, until
 	if agg != "" {
 		q.Set("agg", agg)
 	}
-	payload, _, err := c.do(ctx, http.MethodGet, "/v1/metrics/history", q, nil, "")
-	if err != nil {
-		return HistoryResult{}, err
-	}
 	var wire historyWire
-	if err := json.Unmarshal(payload, &wire); err != nil {
-		return HistoryResult{}, fmt.Errorf("alpserved: bad history response: %w", err)
+	if err := c.do(ctx, http.MethodGet, "/v1/metrics/history", q, nil, "", jsonInto(&wire, "history response")); err != nil {
+		return HistoryResult{}, err
 	}
 	res := HistoryResult{
 		Metric:  wire.Metric,

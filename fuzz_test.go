@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"testing"
 
@@ -215,11 +216,33 @@ func scanFuzzStream(lo, hi float64) []byte {
 	return stream
 }
 
+// scanFramesOneByOne is the frame-by-frame reference for
+// DecodeScanStream: a fresh decoder's Next, appended onto a nil slice,
+// so no frame is ever decoded in place.
+func scanFramesOneByOne(data []byte) ([]float64, error) {
+	d, err := format.NewScanDecoder(data)
+	if err != nil {
+		return nil, err
+	}
+	var out []float64
+	for {
+		rows, err := d.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rows...)
+	}
+}
+
 // FuzzScanFrameDecode feeds arbitrary (including mutated-valid) bytes
 // to the selection-aware scan stream decoder: it must never panic, it
 // must reject every structural defect — bad magic, truncated frames,
 // CRC mismatches, bitmap-cardinality lies — with an error wrapping
-// ErrCorrupt, and accepted streams must decode deterministically.
+// ErrCorrupt, and it must agree with the frame-by-frame reference: both
+// accept or both reject, and both return the same rows, bit for bit.
 func FuzzScanFrameDecode(f *testing.F) {
 	full := scanFuzzStream(math.Inf(-1), math.Inf(1)) // dense frames
 	sparse := scanFuzzStream(0, 20)                   // repacked + raw frames
@@ -239,18 +262,16 @@ func FuzzScanFrameDecode(f *testing.F) {
 	f.Add(flipped) // CRC-detected corruption
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rows, err := DecodeScanStream(data)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("DecodeScanStream error does not wrap ErrCorrupt: %v", err)
-			}
-			return
+		ref, refErr := scanFramesOneByOne(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("DecodeScanStream error %v, frame-by-frame reference error %v", err, refErr)
 		}
-		again, err := DecodeScanStream(data)
-		if err != nil {
-			t.Fatalf("accepted stream failed on second decode: %v", err)
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("DecodeScanStream error does not wrap ErrCorrupt: %v", err)
 		}
-		if !bitsEqual(rows, again) {
-			t.Fatal("accepted stream decoded differently twice")
+		// On a rejected stream both return the rows before the defect.
+		if !bitsEqual(rows, ref) {
+			t.Fatalf("in-place decode of %d rows differs from the frame-by-frame reference of %d", len(rows), len(ref))
 		}
 	})
 }

@@ -35,49 +35,60 @@ type Decision struct {
 // exceptionBits (80 bits for float64, §3.1). It returns the cost and
 // the exception count.
 func comboCost[T vector.Float](sample []T, c Combo) (bits, exceptions int) {
+	return comboCostBelow(sample, c, math.MaxInt)
+}
+
+// comboCostBelow is comboCost that gives up once the cost cannot stay
+// below bound. Over the values seen so far, exceptions × exceptionBits
+// plus len(sample) × the width of the encoded range is a lower bound on
+// the cost, and neither term can shrink, so once it reaches bound the
+// loop stops and returns it: a cost >= bound, but not the full cost.
+func comboCostBelow[T vector.Float](sample []T, c Combo, bound int) (bits, exceptions int) {
 	w := widthOf[T]()
 	fe, ff := w.f10[c.E], w.if10[c.F]
 	df, de := w.f10[c.F], w.if10[c.E]
 	sweet, lo, hi := w.sweet, -w.limit, w.limit
+	excBits := exceptionBits[T]()
 	min, max := int64(math.MaxInt64), int64(math.MinInt64)
-	nonExc := 0
+	var bw uint
 	for _, x := range sample {
 		scaled := x * fe * ff
 		if !(scaled >= lo && scaled <= hi) {
 			exceptions++
-			continue
-		}
-		d := fastRound(scaled, sweet)
-		if vector.ToBits(T(d)*df*de) != vector.ToBits(x) {
+		} else if d := fastRound(scaled, sweet); vector.ToBits(T(d)*df*de) != vector.ToBits(x) {
 			exceptions++
+		} else if d >= min && d <= max {
 			continue
+		} else {
+			if d < min {
+				min = d
+			}
+			if d > max {
+				max = d
+			}
+			bw = bitpack.Width(uint64(max) - uint64(min))
 		}
-		if d < min {
-			min = d
+		if low := len(sample)*int(bw) + exceptions*excBits; low >= bound {
+			return low, exceptions
 		}
-		if d > max {
-			max = d
-		}
-		nonExc++
 	}
-	var bw uint
-	if nonExc > 0 {
-		bw = bitpack.Width(uint64(max) - uint64(min))
-	}
-	return len(sample)*int(bw) + exceptions*exceptionBits[T](), exceptions
+	return len(sample)*int(bw) + exceptions*excBits, exceptions
 }
 
 // FindBest exhaustively searches all (e,f) combinations (253 for
 // float64, 66 for float32) for the one minimizing comboCost on the
 // sample. Ties prefer higher exponents and factors, mirroring the
-// paper's tie-break. It also returns the winning cost in bits.
+// paper's tie-break. It also returns the winning cost in bits. A
+// combination is costed only while it can still beat the best so far:
+// one is taken only at a strictly lower cost, so stopping its costing
+// early never changes the winner.
 func FindBest[T vector.Float](sample []T) (Combo, int) {
 	best := Combo{}
 	bestCost := math.MaxInt
 	for e := widthOf[T]().maxExponent(); e >= 0; e-- {
 		for f := e; f >= 0; f-- {
 			c := Combo{E: uint8(e), F: uint8(f)}
-			cost, _ := comboCost(sample, c)
+			cost, _ := comboCostBelow(sample, c, bestCost)
 			if cost < bestCost {
 				bestCost = cost
 				best = c

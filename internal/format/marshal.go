@@ -178,6 +178,11 @@ type reader struct {
 	data []byte
 	pos  int
 	err  error
+	// lend, when set, holds buffers words fills in turn instead of
+	// allocating: a scan decoder lends its own, because the envelope it
+	// parses lives only until the frame is decoded. A Column owns its
+	// words, so Unmarshal lends none.
+	lend [][]uint64
 }
 
 func (r *reader) need(n int) bool {
@@ -234,7 +239,12 @@ func (r *reader) words(n int) []uint64 {
 		}
 		return nil
 	}
-	out := make([]uint64, n)
+	var out []uint64
+	if len(r.lend) > 0 && cap(r.lend[0]) >= n {
+		out, r.lend = r.lend[0][:n], r.lend[1:]
+	} else {
+		out = make([]uint64, n)
+	}
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint64(r.data[r.pos:])
 		r.pos += 8

@@ -45,6 +45,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"github.com/goalp/alp/internal/alpenc"
@@ -315,7 +316,10 @@ type ScanDecoder struct {
 	sel     [SelWords]uint64
 	scratch []int64
 	tmp     []float64 // full-vector buffer for dense RD gathers
-	out     []float64 // frame output, reused across Next calls
+	out     []float64 // Next's frame output, reused across calls
+	// words are the envelope word buffers lent to each frame's parse:
+	// ALP ints or ALP_rd right parts, then ALP_rd codes.
+	words [2][]uint64
 }
 
 // NewScanDecoder validates the stream header and returns a decoder
@@ -335,7 +339,7 @@ func NewScanDecoder(data []byte) (*ScanDecoder, error) {
 		pos:     ScanStreamHeaderSize,
 		scratch: make([]int64, vector.Size),
 		tmp:     make([]float64, vector.Size),
-		out:     make([]float64, vector.Size),
+		words:   [2][]uint64{make([]uint64, vector.Size), make([]uint64, vector.Size)},
 	}, nil
 }
 
@@ -405,8 +409,21 @@ func frameClaim(kind ScanFrameKind, payload []byte) int {
 // cleanly exhausted stream; any other error means the stream is
 // corrupt or truncated mid-frame.
 func (d *ScanDecoder) Next() ([]float64, error) {
+	if d.out == nil {
+		d.out = make([]float64, 0, vector.Size)
+	}
+	return d.AppendNext(d.out[:0])
+}
+
+// AppendNext decodes the next frame and appends its rows, in position
+// order, to out. A frame's row count is known before any row is
+// written, so the rows are decoded straight into out's spare capacity
+// when they fit, and out grows as append grows it when they do not. At
+// io.EOF (a cleanly exhausted stream) or any other error (a stream
+// corrupt or truncated mid-frame), out comes back as it was passed.
+func (d *ScanDecoder) AppendNext(out []float64) ([]float64, error) {
 	if d.pos == len(d.data) {
-		return nil, io.EOF
+		return out, io.EOF
 	}
 	o := obs.Active()
 	var start time.Time
@@ -416,92 +433,101 @@ func (d *ScanDecoder) Next() ([]float64, error) {
 	}
 	rest := len(d.data) - d.pos
 	if rest < scanFrameOverhead {
-		return nil, corrupt("truncated scan frame: %d trailing bytes, frame needs >= %d", rest, scanFrameOverhead)
+		return out, corrupt("truncated scan frame: %d trailing bytes, frame needs >= %d", rest, scanFrameOverhead)
 	}
 	kind := ScanFrameKind(d.data[d.pos])
 	plen := int(binary.LittleEndian.Uint32(d.data[d.pos+1:]))
 	if plen > maxScanFramePayload {
-		return nil, corrupt("scan frame payload %d exceeds %d-byte cap", plen, maxScanFramePayload)
+		return out, corrupt("scan frame payload %d exceeds %d-byte cap", plen, maxScanFramePayload)
 	}
 	if rest-scanFrameOverhead < plen {
-		return nil, corrupt("truncated scan frame: payload of %d with %d bytes left", plen, rest-scanFrameOverhead+4)
+		return out, corrupt("truncated scan frame: payload of %d with %d bytes left", plen, rest-scanFrameOverhead+4)
 	}
 	payload := d.data[d.pos+5 : d.pos+5+plen]
 	wantCRC := binary.LittleEndian.Uint32(d.data[d.pos+5+plen:])
 	if got := frameCRC(kind, payload); got != wantCRC {
-		return nil, corrupt("scan frame CRC mismatch (got %08x, stored %08x)", got, wantCRC)
+		return out, corrupt("scan frame CRC mismatch (got %08x, stored %08x)", got, wantCRC)
 	}
 	d.pos += scanFrameOverhead + plen
 
-	var out []float64
+	var rows []float64
 	var err error
 	switch kind {
 	case ScanFrameRaw:
-		out, err = d.decodeRaw(payload)
+		rows, err = d.decodeRaw(out, payload)
 	case ScanFrameRepacked:
-		out, err = d.decodeRepacked(payload)
+		rows, err = d.decodeRepacked(out, payload)
 	case ScanFrameDense:
-		out, err = d.decodeDense(payload)
+		rows, err = d.decodeDense(out, payload)
 	default:
-		return nil, corrupt("unknown scan frame kind %d", kind)
+		return out, corrupt("unknown scan frame kind %d", kind)
 	}
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	d.rows += len(out)
+	d.rows += len(rows) - len(out)
 	if sampled {
 		o.Observe(obs.HistStageScanDecode, time.Since(start).Nanoseconds())
+	}
+	return rows, nil
+}
+
+// extend returns out lengthened by n rows and those n rows: in place
+// when out has room, else in out grown as append grows it.
+func extend(out []float64, n int) (all, rows []float64) {
+	all = slices.Grow(out, n)[:len(out)+n]
+	return all, all[len(out):]
+}
+
+func (d *ScanDecoder) decodeRaw(out []float64, payload []byte) ([]float64, error) {
+	if len(payload) == 0 || len(payload)%8 != 0 {
+		return out, corrupt("raw scan frame payload of %d bytes", len(payload))
+	}
+	n := len(payload) / 8
+	if n > vector.Size {
+		return out, corrupt("raw scan frame holds %d rows, vector max is %d", n, vector.Size)
+	}
+	out, rows := extend(out, n)
+	for i := range rows {
+		rows[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
 	}
 	return out, nil
 }
 
-func (d *ScanDecoder) decodeRaw(payload []byte) ([]float64, error) {
-	if len(payload) == 0 || len(payload)%8 != 0 {
-		return nil, corrupt("raw scan frame payload of %d bytes", len(payload))
-	}
-	n := len(payload) / 8
-	if n > vector.Size {
-		return nil, corrupt("raw scan frame holds %d rows, vector max is %d", n, vector.Size)
-	}
-	for i := 0; i < n; i++ {
-		d.out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-	}
-	return d.out[:n], nil
-}
-
-func (d *ScanDecoder) decodeRepacked(payload []byte) ([]float64, error) {
-	r := &reader{data: payload}
+func (d *ScanDecoder) decodeRepacked(out []float64, payload []byte) ([]float64, error) {
+	r := &reader{data: payload, lend: d.words[:]}
 	env, err := parseVectorEnvelope(r)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	if r.pos != len(payload) {
-		return nil, corrupt("%d trailing bytes in repacked scan frame", len(payload)-r.pos)
+		return out, corrupt("%d trailing bytes in repacked scan frame", len(payload)-r.pos)
 	}
 	if env.Scheme != SchemeALP {
 		// The server only re-packs decimal-scheme vectors; an RD
 		// envelope here means the frame was tampered with.
-		return nil, corrupt("repacked scan frame with scheme %v", env.Scheme)
+		return out, corrupt("repacked scan frame with scheme %v", env.Scheme)
 	}
-	env.ALP.Decode(d.out[:env.ALP.N], d.scratch)
-	return d.out[:env.ALP.N], nil
+	out, rows := extend(out, env.ALP.N)
+	env.ALP.Decode(rows, d.scratch)
+	return out, nil
 }
 
-func (d *ScanDecoder) decodeDense(payload []byte) ([]float64, error) {
+func (d *ScanDecoder) decodeDense(out []float64, payload []byte) ([]float64, error) {
 	if len(payload) < denseExtraSize {
-		return nil, corrupt("dense scan frame payload of %d bytes", len(payload))
+		return out, corrupt("dense scan frame payload of %d bytes", len(payload))
 	}
 	count := int(binary.LittleEndian.Uint16(payload))
 	total := int(binary.LittleEndian.Uint16(payload[2:]))
 	if total < 1 || total > vector.Size {
-		return nil, corrupt("dense scan frame total %d", total)
+		return out, corrupt("dense scan frame total %d", total)
 	}
 	if count < 1 || count > total {
-		return nil, corrupt("dense scan frame count %d of %d", count, total)
+		return out, corrupt("dense scan frame count %d of %d", count, total)
 	}
 	nw := fastlanes.SelWords(total)
 	if len(payload) < denseExtraSize+8*nw {
-		return nil, corrupt("dense scan frame bitmap truncated")
+		return out, corrupt("dense scan frame bitmap truncated")
 	}
 	pop := 0
 	for i := 0; i < nw; i++ {
@@ -509,44 +535,44 @@ func (d *ScanDecoder) decodeDense(payload []byte) ([]float64, error) {
 		pop += bits.OnesCount64(d.sel[i])
 	}
 	if r := total & 63; r != 0 && d.sel[nw-1]>>uint(r) != 0 {
-		return nil, corrupt("dense scan frame bitmap sets bits past row %d", total)
+		return out, corrupt("dense scan frame bitmap sets bits past row %d", total)
 	}
 	if pop != count {
-		return nil, corrupt("dense scan frame bitmap cardinality %d, header says %d", pop, count)
+		return out, corrupt("dense scan frame bitmap cardinality %d, header says %d", pop, count)
 	}
-	r := &reader{data: payload, pos: denseExtraSize + 8*nw}
+	r := &reader{data: payload, pos: denseExtraSize + 8*nw, lend: d.words[:]}
 	env, err := parseVectorEnvelope(r)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	if r.pos != len(payload) {
-		return nil, corrupt("%d trailing bytes in dense scan frame", len(payload)-r.pos)
+		return out, corrupt("%d trailing bytes in dense scan frame", len(payload)-r.pos)
 	}
+	n := env.ALP.N
 	if env.Scheme == SchemeRD {
-		if env.RD.N != total {
-			return nil, corrupt("dense scan frame envelope holds %d rows, header says %d", env.RD.N, total)
-		}
-		if count == total {
-			// Full match: every row qualifies, skip the bitmap gather.
-			alprd.DecodeVector(env.RDEnc, &env.RD, d.out[:total])
-			return d.out[:total], nil
-		}
+		n = env.RD.N
+	}
+	if n != total {
+		return out, corrupt("dense scan frame envelope holds %d rows, header says %d", n, total)
+	}
+	out, rows := extend(out, count)
+	switch {
+	case env.Scheme == SchemeRD && count == total:
+		// Full match: every row qualifies, skip the bitmap gather.
+		alprd.DecodeVector(env.RDEnc, &env.RD, rows)
+	case env.Scheme == SchemeRD:
 		alprd.DecodeVector(env.RDEnc, &env.RD, d.tmp[:total])
-		return d.out[:gatherSelected(d.out, d.tmp[:total], d.sel[:])], nil
-	}
-	if env.ALP.N != total {
-		return nil, corrupt("dense scan frame envelope holds %d rows, header says %d", env.ALP.N, total)
-	}
-	if count == total {
+		gatherSelected(rows, d.tmp[:total], d.sel[:])
+	case count == total:
 		// Full match: the whole-vector fused decode beats a gather over
 		// an all-set bitmap.
-		env.ALP.Decode(d.out[:total], d.scratch)
-		return d.out[:total], nil
+		env.ALP.Decode(rows, d.scratch)
+	default:
+		// The fused client path: unpack the raw packed integers once,
+		// then gather only the selected rows to floats — the same
+		// kernels a local pushdown scan runs.
+		env.ALP.Ints.UnpackRaw(d.scratch[:total])
+		env.ALP.GatherSelected(d.sel[:], d.scratch, rows)
 	}
-	// The fused client path: unpack the raw packed integers once, then
-	// gather only the selected rows to floats — the same kernels a
-	// local pushdown scan runs.
-	env.ALP.Ints.UnpackRaw(d.scratch[:total])
-	n := env.ALP.GatherSelected(d.sel[:], d.scratch, d.out)
-	return d.out[:n], nil
+	return out, nil
 }

@@ -7,6 +7,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -27,13 +28,14 @@ import (
 // column: the marshaled stream (served verbatim), the parsed column
 // (vector addressing, zone maps, per-vector envelopes) and the engine
 // relation (morsel-parallel pushdown operators). All three share the
-// same underlying compressed storage and are immutable after Put. It
-// is the registry's Column handle.
+// same underlying compressed storage and are immutable after Put, so
+// its shape is computed once there. It is the registry's Column
+// handle.
 type storedColumn struct {
-	name string
 	data []byte
 	col  *format.Column
 	rel  *engine.Relation
+	info ColumnInfo
 }
 
 // Registry is the concurrent name -> column map.
@@ -51,15 +53,23 @@ func NewRegistry() *Registry {
 // existing column atomically.
 func (r *Registry) Put(_ context.Context, name string, col *format.Column, data []byte) (ColumnInfo, error) {
 	sc := &storedColumn{
-		name: name,
 		data: data,
 		col:  col,
 		rel:  engine.BuildALPFromColumn(name, col),
+		info: ColumnInfo{Name: name, ColumnStats: ColumnStats{
+			Values:          col.N,
+			NumVectors:      col.NumVectors(),
+			NumRowGroups:    len(col.RowGroups),
+			CompressedBytes: len(data),
+			BitsPerValue:    col.BitsPerValue(),
+			Exceptions:      col.Exceptions(),
+			UsedRD:          col.UsedRD(),
+		}},
 	}
 	r.mu.Lock()
 	r.cols[name] = sc
 	r.mu.Unlock()
-	return sc.Info(), nil
+	return sc.info, nil
 }
 
 // Column returns the column bound to name.
@@ -115,17 +125,7 @@ func (r *Registry) MetricsExtras() []obs.Extra {
 	return []obs.Extra{{Name: "columns", JSON: string(cols)}}
 }
 
-func (sc *storedColumn) Info() ColumnInfo {
-	return ColumnInfo{Name: sc.name, ColumnStats: ColumnStats{
-		Values:          sc.col.N,
-		NumVectors:      sc.col.NumVectors(),
-		NumRowGroups:    len(sc.col.RowGroups),
-		CompressedBytes: len(sc.data),
-		BitsPerValue:    sc.col.BitsPerValue(),
-		Exceptions:      sc.col.Exceptions(),
-		UsedRD:          sc.col.UsedRD(),
-	}}
-}
+func (sc *storedColumn) Info() ColumnInfo { return sc.info }
 
 func (sc *storedColumn) AggPartials(_ context.Context, p engine.Predicate, threads int, rgs []int) ([]engine.Agg, int, error) {
 	parts, touched := sc.rel.FilterAggPartials(threads, p, rgs)
@@ -136,12 +136,24 @@ func (sc *storedColumn) CountPartials(_ context.Context, p engine.Predicate, thr
 	return sc.rel.FilterCountPartials(threads, p, rgs), nil
 }
 
+// scanWriteBuffer is the size of the buffer a scan's frames are
+// written through: the frame payload cap, so one buffer holds any
+// frame a column produces.
+const scanWriteBuffer = 64 << 10
+
 // Scan evaluates the predicate vector-at-a-time with zone-map skipping
 // plus the encoded-domain kernel, so a scan of a huge column never
 // materializes more than one vector. Each vector with a match becomes
 // the cheapest ALPS frame — the stored envelope plus a selection
 // bitmap, a re-packed ALP vector of the selected rows, or raw float64s
 // (format.ScanWriter decides by exact byte size).
+//
+// The stream header goes to w on its own, so once a scan has begun any
+// error aborts the connection. The frames then go out through one
+// scanWriteBuffer-sized buffer, flushed before Scan returns its row
+// count; a failed write, the final flush included, is the scan's
+// error. The write span and the HTTP-write stage time the writes that
+// reach w.
 func (sc *storedColumn) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi int, w io.Writer) (int, error) {
 	col := sc.col
 	// An empty column has no row-groups: the range stays empty and the
@@ -155,21 +167,23 @@ func (sc *storedColumn) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi
 	o := obs.Active()
 	tr := obs.TraceFrom(ctx)
 	timed := o != nil || tr != nil
-	var engineNs, writeNs int64
+	var engineNs int64
 	var batch obs.ScanBatch
 	var frames [4]int64 // by format.ScanFrameKind
 	var bytesSaved int64
+	tw := &timedWriter{w: w, o: o}
 	defer func() {
 		o.Add(obs.VectorsSkipped, int64(skipped))
 		o.FlushScanBatch(&batch)
 		o.ScanFrames(frames[format.ScanFrameDense], frames[format.ScanFrameRepacked], frames[format.ScanFrameRaw], bytesSaved)
 		tr.Add(obs.SpanEngine, engineNs)
-		tr.Add(obs.SpanWrite, writeNs)
+		tr.Add(obs.SpanWrite, tw.ns)
 	}()
 
 	if _, err := w.Write(format.AppendScanStreamHeader(nil)); err != nil {
 		return 0, err
 	}
+	bw := bufio.NewWriterSize(tw, scanWriteBuffer)
 	sw := format.NewScanWriter(col)
 	var t0 time.Time
 	for i := vecLo; i < vecHi; i++ {
@@ -193,20 +207,33 @@ func (sc *storedColumn) Scan(ctx context.Context, p engine.Predicate, rgLo, rgHi
 		}
 		frames[kind]++
 		bytesSaved += int64(8*n - len(frame))
-		if timed {
-			t0 = time.Now()
-		}
-		if _, err := w.Write(frame); err != nil {
+		if _, err := bw.Write(frame); err != nil {
 			return rows, err
-		}
-		if timed {
-			ns := time.Since(t0).Nanoseconds()
-			writeNs += ns
-			o.Observe(obs.HistStageHTTPWrite, ns)
 		}
 		rows += n
 	}
+	if err := bw.Flush(); err != nil {
+		return rows, err
+	}
 	return rows, nil
+}
+
+// timedWriter times every write it passes on to w, the writes that
+// reach the connection: their sum is the write span, and each is one
+// sample of the HTTP-write stage histogram.
+type timedWriter struct {
+	w  io.Writer
+	o  *obs.Collector
+	ns int64
+}
+
+func (t *timedWriter) Write(p []byte) (int, error) {
+	start := time.Now()
+	n, err := t.w.Write(p)
+	ns := time.Since(start).Nanoseconds()
+	t.ns += ns
+	t.o.Observe(obs.HistStageHTTPWrite, ns)
+	return n, err
 }
 
 // Data serves the registry bytes verbatim (the cheapest possible
