@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-module fuzz-smoke serve-smoke server-race mon-smoke cluster-race cluster-smoke lint gauntlet gauntlet-check check clean
+.PHONY: all build vet test race fma-check bench-smoke bench-module fuzz-smoke serve-smoke server-race mon-smoke cluster-race cluster-smoke lint gauntlet gauntlet-check check clean
 
 all: check
 
@@ -25,6 +25,25 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# No fused multiply-add in the codec on any platform. Where the hardware
+# has one (arm64, among others) Go may fuse x*y + z into one
+# instruction that rounds once instead of twice, so such a build would
+# encode, sample and fold differently from amd64; an explicit
+# conversion of the product, T(x*y) + z, keeps both roundings. This
+# cross-compiles alpbench (it links both float widths) for arm64,
+# offline, and fails if any function of the codec packages holds an
+# FMADD, FMSUB, FNMADD or FNMSUB.
+FMA_CHECK_SYMS = ^github.com/goalp/alp/internal/(alpenc|alprd|fastlanes|format|engine)\.
+fma-check:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	GOOS=linux GOARCH=arm64 CGO_ENABLED=0 $(GO) build -o "$$dir/alpbench" ./cmd/alpbench || exit 1; \
+	$(GO) tool objdump -s '$(FMA_CHECK_SYMS)' "$$dir/alpbench" >"$$dir/dis" || exit 1; \
+	grep -q 'alpenc\.EncodeVector' "$$dir/dis" || { echo "fma-check: no codec function in the disassembly"; exit 1; }; \
+	if awk '/^TEXT /{fn=$$2} match($$0, /\tF(N)?M(ADD|SUB)[DS] /){print "  " fn, $$1, substr($$0, RSTART+1, RLENGTH-2)}' "$$dir/dis" | grep .; then \
+		echo "fma-check: fused multiply-adds in the codec (arm64); round the product with an explicit conversion"; exit 1; \
+	fi; \
+	echo "fma-check: no fused multiply-add in the codec packages (arm64)"
+
 # One iteration of every benchmark: catches bit-rot in bench code
 # (including BenchmarkEncodeObsOff/On) without burning CI minutes.
 bench-smoke:
@@ -42,8 +61,10 @@ bench-module:
 # patterns, no-panic + ErrCorrupt on mutated streams, differential
 # pushdown-vs-naive filtered aggregates under fuzzed predicates, the
 # scan-stream frame decoder (length/CRC/bitmap-cardinality lies), the
-# single-vector envelope decoder, and ALPM metric snapshots (fuzzed
-# body, recomputed CRC).
+# single-vector envelope decoder, ALPM metric snapshots (fuzzed body,
+# recomputed CRC), and the integer folds of exception-free ALP vectors
+# against decode-then-fold (fuzzed base, width, combination, payload and
+# start accumulator).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 13s .
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 13s .
@@ -51,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScanFrameDecode -fuzztime 13s .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEncodedVector -fuzztime 13s .
 	$(GO) test -run '^$$' -fuzz FuzzReadStore -fuzztime 13s ./internal/metricstore
+	$(GO) test -run '^$$' -fuzz FuzzFoldVector -fuzztime 13s ./internal/alpenc
 
 # End-to-end smoke of the column service: build the real alpserved
 # binary, boot it on an ephemeral port, run an ingest -> scan -> agg
@@ -130,7 +152,7 @@ gauntlet-check:
 	$(GO) run ./cmd/alpgauntlet -check BENCH_gauntlet.json
 
 # The full PR gate, mirrored by .github/workflows/ci.yml.
-check: vet build test race bench-smoke bench-module serve-smoke mon-smoke server-race cluster-race cluster-smoke fuzz-smoke
+check: vet build test race fma-check bench-smoke bench-module serve-smoke mon-smoke server-race cluster-race cluster-smoke fuzz-smoke
 
 clean:
 	$(GO) clean ./...

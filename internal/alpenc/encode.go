@@ -43,7 +43,10 @@ func EncodeVector[T vector.Float](src []T, c Combo, scratch []int64) VectorOf[T]
 	// the scaled product is computed once (Algorithm 1 lines 7-12).
 	excIdx := make([]uint16, 0, 8)
 	for i, x := range src {
-		scaled := x * fe * ff
+		// The conversion rounds the product before fastRound's add, so
+		// no platform fuses the two into one multiply-add: every host
+		// encodes the same integers.
+		scaled := T(x * fe * ff)
 		var d int64
 		if scaled >= lo && scaled <= hi {
 			d = fastRound(scaled, sweet)

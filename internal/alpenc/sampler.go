@@ -52,7 +52,7 @@ func comboCostBelow[T vector.Float](sample []T, c Combo, bound int) (bits, excep
 	min, max := int64(math.MaxInt64), int64(math.MinInt64)
 	var bw uint
 	for _, x := range sample {
-		scaled := x * fe * ff
+		scaled := T(x * fe * ff) // rounded before fastRound's add, as in EncodeVector
 		if !(scaled >= lo && scaled <= hi) {
 			exceptions++
 		} else if d := fastRound(scaled, sweet); vector.ToBits(T(d)*df*de) != vector.ToBits(x) {

@@ -186,7 +186,10 @@ func (e *Encoder) estimateBits(exc, n int) float64 {
 		return 0
 	}
 	excFrac := float64(exc) / float64(n)
-	return float64(e.P) + float64(e.CodeWidth) + excFrac*32 // 16-bit value + 16-bit position
+	// 16-bit value + 16-bit position per exception. The conversion
+	// rounds the product before the add, so no platform fuses them and
+	// every host ranks the cuts alike.
+	return float64(e.P) + float64(e.CodeWidth) + float64(excFrac*32)
 }
 
 // encodeIndex returns the left value -> code+1 table, building it on

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/goalp/alp/internal/dataset"
+	"github.com/goalp/alp/internal/vector"
 )
 
 func fastOpt() Options {
@@ -128,6 +129,25 @@ func TestMeasureCascade(t *testing.T) {
 
 	if got := MeasureCascade(nil); got.BitsPerValue != 0 {
 		t.Fatalf("empty cascade = %+v", got)
+	}
+}
+
+func TestMeasureCascadeLabelIsStable(t *testing.T) {
+	// One row-group favours the dictionary and the other RLE: the tie
+	// goes to the scheme tried first, on every call.
+	points := []float64{1.25, 7.5, 100.75, 3.125}
+	r := rand.New(rand.NewSource(2))
+	src := make([]float64, vector.RowGroupSize+8192)
+	for i := range src[:vector.RowGroupSize] {
+		src[i] = points[r.Intn(len(points))]
+	}
+	for i := range src[vector.RowGroupSize:] {
+		src[vector.RowGroupSize+i] = float64(i / 512)
+	}
+	for call := 0; call < 20; call++ {
+		if c := MeasureCascade(src); c.Scheme != "dict" {
+			t.Fatalf("call %d: scheme = %q, want dict (tied with rle, tried first)", call, c.Scheme)
+		}
 	}
 }
 

@@ -50,11 +50,13 @@ func MeasureCascade(values []float64) Cascade {
 		schemeCounts[scheme]++
 	}
 	// Report the dominant non-plain scheme as the superscript, like the
-	// per-dataset annotation in Table 4.
+	// per-dataset annotation in Table 4. The schemes are weighed in the
+	// order they are tried, so on equal counts the earlier one wins and
+	// every run labels the column alike.
 	bestScheme := ""
 	bestCount := 0
-	for s, c := range schemeCounts {
-		if s != "" && c > bestCount {
+	for _, s := range []string{"dict", "rle"} {
+		if c := schemeCounts[s]; c > bestCount {
 			bestScheme, bestCount = s, c
 		}
 	}

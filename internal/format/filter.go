@@ -201,12 +201,15 @@ type FilterAggResult struct {
 // counters once for the whole range. buf and scratch must each hold
 // vector.Size elements.
 //
-// Each scheme has one fold. Decimal-scheme vectors run the
-// encoded-domain filter and gather (FilterGatherVector, which
-// bulk-decodes a vector the zone map shows to match entirely), and the
-// gathered rows are folded once in registers (alpenc.Agg.Fold). ALP_rd
-// vectors decode, then compare and fold in one loop, with no bitmap and
-// no compaction (alpenc.Agg.FoldMatching).
+// A decimal-scheme vector with no exceptions that the zone map shows
+// to match entirely folds every row straight from its integers
+// (alpenc.Agg.FoldVector, counted as a decoded vector, as the bulk
+// decode it replaces was). Any other decimal-scheme vector runs the
+// encoded-domain filter, then folds the selected rows: straight from
+// the integers when it has no exceptions (alpenc.Agg.FoldSelected),
+// else gathered into buf and folded in registers (alpenc.Agg.Fold).
+// ALP_rd vectors decode, then compare and fold in one loop, with no
+// bitmap and no compaction (alpenc.Agg.FoldMatching).
 func (c *Column) AggVectors(first, end int, lo, hi float64, buf []float64, scratch []int64) (a alpenc.Agg, touched int) {
 	o := obs.Active()
 	a = alpenc.EmptyAgg()
@@ -220,19 +223,55 @@ func (c *Column) AggVectors(first, end int, lo, hi float64, buf []float64, scrat
 		}
 		touched++
 		rg := &c.RowGroups[i/vector.RowGroupVectors]
+		local := i % vector.RowGroupVectors
 		if rg.Scheme == SchemeRD {
-			v := &rg.RDVectors[i%vector.RowGroupVectors]
+			v := &rg.RDVectors[local]
 			alprd.DecodeVector(rg.RD, v, buf[:v.N])
 			batch.Vector(a.FoldMatching(buf[:v.N], lo, hi), false)
 			continue
 		}
-		n, pd := c.FilterGatherVector(i, lo, hi, sel[:], buf, scratch)
-		a.Fold(buf[:n])
-		batch.Vector(n, pd)
+		v := &rg.Vectors[local]
+		if len(v.ExcPos) == 0 && c.Zones != nil && c.Zones.Contains(i, lo, hi) {
+			foldWhole(o, &a, v, scratch)
+			batch.Vector(v.N, true)
+			continue
+		}
+		n := v.Filter(lo, hi, sel[:], scratch)
+		if n > 0 {
+			// The selected rows' gather and fold, sampled into the
+			// gather stage histogram.
+			sampled := o.SampleStage(obs.HistStageGather)
+			var start time.Time
+			if sampled {
+				start = time.Now()
+			}
+			if len(v.ExcPos) == 0 {
+				a.FoldSelected(v, sel[:], scratch)
+			} else {
+				a.Fold(buf[:v.GatherSelected(sel[:], scratch, buf)])
+			}
+			if sampled {
+				o.Observe(obs.HistStageGather, time.Since(start).Nanoseconds())
+			}
+		}
+		batch.Vector(n, true)
 	}
 	o.Add(obs.VectorsSkipped, int64(skipped))
 	o.FlushScanBatch(&batch)
 	return a, touched
+}
+
+// foldWhole folds every row of v, a decimal-scheme vector with no
+// exceptions, into a (alpenc.Agg.FoldVector) and records it as one
+// decoded vector, the way DecodeVector does.
+func foldWhole(o *obs.Collector, a *alpenc.Agg, v *alpenc.Vector, scratch []int64) {
+	if o == nil {
+		a.FoldVector(v, scratch)
+		return
+	}
+	began := time.Now()
+	a.FoldVector(v, scratch)
+	o.VectorDecoded(v.N, time.Since(began).Nanoseconds())
 }
 
 // AggRange computes SUM/COUNT/MIN/MAX over the values in [lo, hi],

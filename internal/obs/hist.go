@@ -43,7 +43,7 @@ const (
 	HistStageEncode     // row-group encode (sampling + vector encodes)
 	HistStageUnpack     // FFOR unpack kernel (decode path)
 	HistStageFilter     // fused FFOR unpack+compare kernel
-	HistStageGather     // selected-row gather / bulk vector decode
+	HistStageGather     // selected-row gather; in a filtered aggregate, gather and fold
 	HistStageHTTPWrite  // response payload writes on the scan path
 	HistStageRepack     // sparse-selection re-pack on the scan wire path
 	HistStageScanDecode // client-side scan frame decode

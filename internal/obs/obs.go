@@ -121,7 +121,7 @@ var counters = [NumCounters]struct{ name, help string }{
 
 	VectorsDecoded: {"vectors_decoded", "vectors decompressed (any access path)"},
 	VectorsSkipped: {"vectors_skipped", "vectors skipped by zone-map push-down"},
-	DecodeNs:       {"decode_ns", "wall ns spent decompressing vectors"},
+	DecodeNs:       {"decode_ns", "wall ns spent decompressing vectors (for a vector a filtered aggregate folds whole from its integers, the unpack and the fold)"},
 	DecodeValues:   {"decode_values", "values decompressed"},
 	RangeScans:     {"range_scans", "SumRange scans executed"},
 	MorselClaims:   {"morsel_claims", "partitions claimed by parallel engine scans (a one-worker scan runs inline and counts none)"},

@@ -43,7 +43,7 @@ type Stats struct {
 	// Decode / scan side.
 	VectorsDecoded int64 `metric:"vectors_decoded"` // vectors decompressed (any access path)
 	VectorsSkipped int64 `metric:"vectors_skipped"` // vectors pruned by zone-map push-down
-	DecodeNs       int64 `metric:"decode_ns"`       // wall ns spent decompressing vectors
+	DecodeNs       int64 `metric:"decode_ns"`       // wall ns spent decompressing vectors (incl. the integer fold of a wholly matching vector)
 	DecodeValues   int64 `metric:"decode_values"`   // values decompressed
 	RangeScans     int64 `metric:"range_scans"`     // SumRange scans executed
 	MorselClaims   int64 `metric:"morsel_claims"`   // partitions claimed by parallel engine scans
